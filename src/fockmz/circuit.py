@@ -7,6 +7,7 @@ phase of i on its mode; any common arm phase cancels in closed interferometers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,9 +48,10 @@ def resolve_phase(phase, bindings) -> float:
     if isinstance(phase, str):
         if bindings is None or phase not in bindings:
             raise UnboundParameterError(phase)
-        return float(bindings[phase])
-    value = float(phase)
-    if not np.isfinite(value):
+        value = float(bindings[phase])
+    else:
+        value = float(phase)
+    if not math.isfinite(value):
         raise ValueError("phase angle must be finite")
     return value
 

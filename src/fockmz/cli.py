@@ -42,7 +42,15 @@ def _parse_bindings(pairs):
     for item in pairs or ():
         if "=" in item:
             name, _, value = item.partition("=")
-            bindings[name.strip()] = float(value)
+            try:
+                phi = float(value)
+            except ValueError:
+                phi = math.nan
+            if not math.isfinite(phi):
+                print(f"error: --param {item}: phase must be a finite number "
+                      f"of radians", file=sys.stderr)
+                raise SystemExit(EXIT_PARSE)
+            bindings[name.strip()] = phi
         else:
             sweep = item.strip()
     return bindings, sweep
@@ -167,13 +175,21 @@ def cmd_fit(args):
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
+    if not rows:
+        print(f"error: {args.input} is empty", file=sys.stderr)
+        return EXIT_PARSE
     header = rows[0].split(",")
     if args.column not in header:
         print(f"error: column '{args.column}' not in {args.input}", file=sys.stderr)
         return EXIT_PARSE
     col = header.index(args.column)
-    grid = np.array([float(r.split(",")[0]) for r in rows[1:]])
-    y = np.array([float(r.split(",")[col]) for r in rows[1:]])
+    try:
+        grid = np.array([float(r.split(",")[0]) for r in rows[1:]])
+        y = np.array([float(r.split(",")[col]) for r in rows[1:]])
+    except (ValueError, IndexError):
+        print(f"error: {args.input} has a missing or non-numeric cell",
+              file=sys.stderr)
+        return EXIT_PARSE
     steps = np.diff(grid)
     if len(grid) < 32 or np.max(np.abs(steps - steps[0])) > 1e-9:
         print("error: fit needs a uniform grid with at least 32 samples", file=sys.stderr)

@@ -3,13 +3,16 @@
 Two independent engines are provided on purpose:
 
 * `evolve_full` contracts the composed mode unitary with the state via
-  matrix permanents (Ryser above 4x4, naive permutation sum below);
+  matrix permanents: for each occupied input it stacks the sub-matrices of
+  all output patterns and evaluates them in one batched Gray-code Ryser
+  pass (`permanent` accepts such `(..., n, n)` stacks);
 * `evolve_elementwise` applies each circuit element directly to the
   occupation amplitudes by binomially expanding the rewritten creation
   operators.
 
 They are each other's oracle: the paper-level claims here are exact
-interference cancellations, so bugs must not be self-confirming.
+interference cancellations, so bugs must not be self-confirming. The
+permutation-sum `permanent_naive` is in turn the oracle for the Ryser kernel.
 """
 
 from __future__ import annotations
@@ -49,36 +52,66 @@ def permanent_naive(A) -> complex:
     return total
 
 
-def permanent_ryser(A) -> complex:
-    """Ryser inclusion-exclusion permanent with Gray-code subset updates."""
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape[1] != n:
-        raise ValueError("permanent needs a square matrix")
+def _ryser_stack(A) -> np.ndarray:
+    """Permanents of a (B, n, n) stack by Ryser's formula, Gray-code order.
+
+    Consecutive subsets differ by one column, so the (B, n) row sums of all
+    B matrices are updated once per subset instead of being re-summed.
+    """
+    B, n = A.shape[0], A.shape[-1]
     if n == 0:
-        return 1 + 0j
-    if n > 12:
-        raise ValueError("Ryser permanent limited to n <= 12")
-    row_sums = np.zeros(n, dtype=complex)
+        return np.ones(B, dtype=complex)
+    row_sums = np.zeros((B, n), dtype=complex)
     gray = 0
-    total = 0j
+    total = np.zeros(B, dtype=complex)
     for k in range(1, 1 << n):
         new_gray = k ^ (k >> 1)
         changed = new_gray ^ gray
         j = changed.bit_length() - 1
         if new_gray & changed:
-            row_sums += A[:, j]
+            row_sums += A[:, :, j]
         else:
-            row_sums -= A[:, j]
+            row_sums -= A[:, :, j]
         gray = new_gray
-        sign = -1 if new_gray.bit_count() & 1 else 1
-        total += sign * np.prod(row_sums)
-    return ((-1) ** n) * total
+        prod = np.prod(row_sums, axis=1)
+        if new_gray.bit_count() & 1:
+            total -= prod
+        else:
+            total += prod
+    return total if n % 2 == 0 else -total
 
 
-def permanent(A) -> complex:
+def _check_square(A) -> int:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError("permanent needs a square matrix")
+    n = A.shape[-1]
+    if n > 12:
+        raise ValueError("Ryser permanent limited to n <= 12")
+    return n
+
+
+def permanent_ryser(A) -> complex:
+    """Ryser inclusion-exclusion permanent of one square matrix."""
     A = np.asarray(A, dtype=complex)
-    return permanent_ryser(A) if A.shape[0] > 4 else permanent_naive(A)
+    if A.ndim != 2:
+        raise ValueError("permanent needs a square matrix")
+    _check_square(A)
+    return complex(_ryser_stack(A[None])[0])
+
+
+def permanent(A):
+    """Permanent of a square matrix, or the array of permanents of a
+    (..., n, n) stack.
+
+    A single matrix goes to the naive permutation sum up to 4x4 and to Ryser
+    above; a stack goes through one batched Ryser pass.
+    """
+    A = np.asarray(A, dtype=complex)
+    n = _check_square(A)
+    if A.ndim == 2:
+        return permanent_ryser(A) if n > 4 else permanent_naive(A)
+    batch = A.shape[:-2]
+    return _ryser_stack(A.reshape(math.prod(batch), n, n)).reshape(batch)
 
 
 def _expand_indices(occ):
@@ -112,19 +145,31 @@ def transition_amplitude(U, input_occ, output_occ) -> complex:
 
 
 def evolve_full(U, psi: StateVector) -> StateVector:
-    """Permanent-based evolution of a Fock state through a mode unitary."""
+    """Permanent-based evolution of a Fock state through a mode unitary.
+
+    For each occupied input, the sub-matrices of every output pattern are
+    stacked and their permanents taken in a single batched call.
+    """
     U = np.asarray(U, dtype=complex)
     basis = psi.basis
     if U.shape != (basis.modes, basis.modes):
         raise ValueError(f"unitary dimension {U.shape} does not match "
                          f"{basis.modes} modes")
+    n = basis.photons
+    if n > PHOTON_LIMIT:
+        raise ValueError(f"photon number {n} exceeds limit {PHOTON_LIMIT}")
+    occ = np.array(basis.vectors, dtype=np.intp)
+    # row index of photon t in each output: modes whose running count is <= t
+    rows = (np.cumsum(occ, axis=1)[:, :, None] <= np.arange(n)).sum(axis=1)
+    fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+    out_norms = fact[occ].prod(axis=1)
     out = np.zeros(len(basis), dtype=complex)
-    for idx_in, amp in enumerate(psi.amplitudes):
-        if amp == 0:
-            continue
+    for idx_in in np.flatnonzero(psi.amplitudes):
         v_in = basis.vectors[idx_in]
-        for idx_out, v_out in enumerate(basis.vectors):
-            out[idx_out] += amp * transition_amplitude(U, v_in, v_out)
+        cols = np.array(_expand_indices(v_in), dtype=np.intp)
+        in_norm = fact[list(v_in)].prod()
+        perms = permanent(U[rows[:, :, None], cols])
+        out += psi.amplitudes[idx_in] * (perms / np.sqrt(in_norm * out_norms))
     return StateVector(basis, out)
 
 

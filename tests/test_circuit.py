@@ -7,6 +7,7 @@ from fockmz import (BeamSplitter, Circuit, Mirror, PhaseShifter,
                     UnboundParameterError, beam_splitter_unitary,
                     check_unitary, compose, mirror_unitary,
                     pattern_probability, phase_unitary, run_circuit)
+from fockmz.circuit import resolve_phase
 from fockmz.engine import DetectionPattern
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -88,6 +89,15 @@ def test_compose_reports_unbound_parameter():
     with pytest.raises(UnboundParameterError) as err:
         compose(circ, {})
     assert err.value.name == "theta"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_resolve_phase_rejects_non_finite_bound_values(bad):
+    assert resolve_phase("phi", {"phi": 0.5}) == 0.5
+    with pytest.raises(ValueError):
+        resolve_phase("phi", {"phi": bad})
+    with pytest.raises(ValueError):
+        resolve_phase(bad, None)
 
 
 def test_compose_prefix_suffix_association():

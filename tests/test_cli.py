@@ -75,6 +75,20 @@ class TestRun:
         assert code == 0
         assert "p_0_1,1.00000000000" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc", ""])
+    def test_bad_phase_binding_exit_1(self, capsys, value):
+        code, out, err = run_cli(capsys, "run", "--preset", "fig1",
+                                 "--param", f"phi={value}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "phi" in err
+
+    def test_bad_fixed_phase_in_scan_exit_1(self, capsys):
+        code, _, err = run_cli(capsys, "scan", "--preset", "fig2",
+                               "--param", "phi1", "--param", "phi2=nan")
+        assert code == 1
+        assert err.startswith("error: ")
+
     def test_formats_encode_identical_numbers(self, capsys):
         _, pretty, _ = run_cli(capsys, "run", "--preset", "sec4",
                                "--param", "phi=1.1", "--format", "pretty")
@@ -159,6 +173,31 @@ class TestFit:
         code, out, _ = run_cli(capsys, "fit", str(csv), "flat")
         assert code == 0
         assert "no dominant harmonic" in out
+
+    def test_fit_empty_file_exit_1(self, tmp_path, capsys):
+        csv = tmp_path / "empty.csv"
+        csv.write_text("")
+        code, _, err = run_cli(capsys, "fit", str(csv), "R11")
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_fit_header_only_exit_1(self, tmp_path, capsys):
+        csv = tmp_path / "header.csv"
+        csv.write_text("phi,R11\n")
+        code, _, err = run_cli(capsys, "fit", str(csv), "R11")
+        assert code == 1
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("bad_row", ["0.5,abc", "abc,0.5", "0.5"])
+    def test_fit_non_numeric_or_short_row_exit_1(self, tmp_path, capsys, bad_row):
+        csv = tmp_path / "bad.csv"
+        rows = ["phi,flat"] + [f"{fmt(i * 0.1)},0.25" for i in range(40)]
+        rows[5] = bad_row
+        csv.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "fit", str(csv), "flat")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_fit_missing_column(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"

@@ -8,7 +8,8 @@ from fockmz import (BeamSplitter, Circuit, Mirror, PhaseShifter,
                     evolve_elementwise, evolve_full, pattern_probability,
                     permanent_naive, permanent_ryser, run_circuit,
                     state_from_sources, transition_amplitude)
-from fockmz.engine import DetectionPattern, ZeroProbabilityError
+from fockmz.engine import DetectionPattern, ZeroProbabilityError, permanent
+from fockmz.fock import StateVector
 
 
 def random_unitary(rng, n):
@@ -57,6 +58,54 @@ class TestPermanents:
             permanent_naive(np.ones((2, 3)))
 
 
+class TestPermanentStack:
+    @pytest.mark.parametrize("n", range(7))
+    def test_stack_matches_naive_oracle(self, n):
+        rng = np.random.default_rng(100 + n)
+        stack = rng.normal(size=(9, n, n)) + 1j * rng.normal(size=(9, n, n))
+        perms = permanent(stack)
+        assert perms.shape == (9,)
+        for A, p in zip(stack, perms):
+            assert abs(p - permanent_naive(A)) <= 1e-10
+
+    def test_single_matrix_unchanged(self):
+        rng = np.random.default_rng(3)
+        for n in (3, 5):
+            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            assert isinstance(permanent(A), complex)
+            assert abs(permanent(A) - permanent_naive(A)) <= 1e-10
+
+    def test_nested_batch_shape(self):
+        rng = np.random.default_rng(4)
+        stack = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+        perms = permanent(stack)
+        assert perms.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert abs(perms[idx] - permanent_naive(stack[idx])) <= 1e-10
+
+    def test_empty_stack_and_zero_size_matrices(self):
+        assert permanent(np.zeros((0, 3, 3))).shape == (0,)
+        assert np.array_equal(permanent(np.zeros((2, 0, 0))), [1, 1])
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError):
+            permanent(np.ones((3, 2, 3)))
+        with pytest.raises(ValueError):
+            permanent(np.ones((2, 2, 4, 3)))
+        with pytest.raises(ValueError):
+            permanent(np.ones(4))
+
+    def test_rejects_oversized_matrices(self):
+        with pytest.raises(ValueError):
+            permanent(np.ones((2, 13, 13)))
+        with pytest.raises(ValueError):
+            permanent(np.ones((13, 13)))
+        with pytest.raises(ValueError):
+            permanent_ryser(np.ones((13, 13)))
+        with pytest.raises(ValueError):
+            permanent_ryser(np.ones((2, 3, 3)))
+
+
 class TestTransitionAmplitude:
     def test_hom_null(self):
         # (1*1 + i*i)/2 = 0 by direct permutation sum
@@ -103,6 +152,34 @@ class TestEvolveFull:
             p11 = pattern_probability(out, DetectionPattern.exactly(2, {1: 2}))
             p1 = (1 + math.cos(phi)) / 2
             assert p11 == pytest.approx(p1 ** 2, abs=1e-9)
+
+    def test_matches_transition_amplitudes(self):
+        rng = np.random.default_rng(8)
+        psi = state_from_sources(5, [(0, 2), (1, 1), (3, 2)])
+        U = random_unitary(rng, 5)
+        out = evolve_full(U, psi)
+        v_in = (2, 1, 0, 2, 0)
+        for v, amp in zip(psi.basis.vectors, out.amplitudes):
+            assert abs(amp - transition_amplitude(U, v_in, v)) <= 1e-12
+
+    def test_superposed_input_is_linear(self):
+        rng = np.random.default_rng(9)
+        U = random_unitary(rng, 3)
+        a = state_from_sources(3, [(0, 2)])
+        b = state_from_sources(3, [(1, 1), (2, 1)])
+        mixed = StateVector(a.basis, (a.amplitudes + 1j * b.amplitudes) / math.sqrt(2))
+        want = (evolve_full(U, a).amplitudes
+                + 1j * evolve_full(U, b).amplitudes) / math.sqrt(2)
+        assert np.max(np.abs(evolve_full(U, mixed).amplitudes - want)) <= 1e-14
+
+    def test_vacuum_maps_to_vacuum(self):
+        out = evolve_full(np.eye(3), state_from_sources(3, []))
+        assert out.amplitudes.tolist() == [1]
+
+    def test_rejects_more_photons_than_limit(self):
+        psi = state_from_sources(7, [(m, 1) for m in range(7)])
+        with pytest.raises(ValueError, match="exceeds limit"):
+            evolve_full(np.eye(7), psi)
 
 
 class TestElementwiseEngine:
