@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+from .fock import FockBasis, enumerate_basis, source_occupation
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -80,15 +83,7 @@ class Circuit:
         M = self.modes
         if M < 1:
             raise ValueError("circuit needs at least one mode")
-        seen = set()
-        for mode, n in self.sources:
-            if not 0 <= mode < M:
-                raise ValueError(f"source mode {mode} out of range")
-            if mode in seen:
-                raise ValueError(f"duplicate source mode {mode}")
-            if n < 0:
-                raise ValueError("negative source photon count")
-            seen.add(mode)
+        source_occupation(M, self.sources)
         for el in self.elements:
             if isinstance(el, BeamSplitter):
                 if el.i == el.j:
@@ -118,6 +113,11 @@ class Circuit:
     @property
     def photons(self) -> int:
         return sum(n for _, n in self.sources)
+
+    @cached_property
+    def basis(self) -> FockBasis:
+        """The source state's basis, enumerated once and shared by every run."""
+        return enumerate_basis(self.modes, self.photons)
 
 
 def beam_splitter_unitary(M: int, i: int, j: int) -> np.ndarray:

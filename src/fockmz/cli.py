@@ -1,7 +1,7 @@
 """Command-line front end: run, scan, fit, validate, chsh.
 
-Exit codes are stable API: 0 ok, 1 parse/validate, 2 unbound parameter,
-3 zero-probability herald, 4 I/O.
+Exit codes are stable API: 0 ok, 1 parse/validate (and a basis above the
+size limit), 2 unbound parameter, 3 zero-probability herald, 4 I/O.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ import numpy as np
 
 from .circuit import UnboundParameterError, compose, check_unitary
 from .dsl import DslError, parse, serialize
-from .engine import (DetectionPattern, ZeroProbabilityError, condition,
-                     pattern_probability, run_circuit)
-from .experiments import (CHSH_OPTIMAL_SETTINGS, PRESET_NAMES, Preset,
-                          build_fig2, build_preset, chsh, fit_fringe,
-                          gated_rates, herald_pattern)
+# run_circuit is unused here but stays importable: bench/test_bench.py hooks it
+from .engine import ZeroProbabilityError, run_circuit  # noqa: F401
+from .experiments import (CHSH_OPTIMAL_SETTINGS, PRESET_NAMES, build_fig2,
+                          build_preset, chsh, fit_fringe, gated_rates,
+                          preset_from_circuit, scan_phase)
+from .fock import BasisTooLargeError, check_basis_size
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -56,65 +57,43 @@ def _parse_bindings(pairs):
     return bindings, sweep
 
 
-def _load(args):
-    """Returns (circuit, outcome_columns) where each column is (name, pattern, weight)."""
-    if args.preset:
-        preset = build_preset(args.preset, model=getattr(args, "model", "resolving"))
-        return preset.circuit, preset
+def _read_circuit(path):
     try:
-        with open(args.circuit, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: cannot read {args.circuit}: {exc}", file=sys.stderr)
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    return parse(text), None
+    return parse(text)
 
 
-def _reduced_columns(circuit):
-    """Column per reduced-basis occupation, for circuits without named outcomes."""
-    psi = run_circuit(circuit, {p: 0.0 for p in circuit.params})
-    cond = condition(psi, circuit.heralds) if circuit.heralds else None
-    if cond is None:
-        vectors = psi.basis.vectors
-        kept = tuple(range(circuit.modes))
-    else:
-        vectors = cond.reduced_state.basis.vectors
-        kept = cond.kept_modes
-    cols = []
-    for v in vectors:
-        name = "p_" + "_".join(str(n) for n in v)
-        counts = {mode: n for mode, n in zip(kept, v)}
-        cols.append((name, DetectionPattern.exactly(circuit.modes, counts), 1.0))
-    return cols
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
 
 
-def _rates(circuit, preset, bindings):
-    """(herald probability, ordered {name: conditional probability})."""
-    if preset is not None:
-        psi = run_circuit(preset.circuit, bindings)
-        hp = pattern_probability(psi, herald_pattern(preset.circuit))
-        if hp <= 1e-300:
-            raise ZeroProbabilityError("herald pattern has zero probability")
-        return hp, gated_rates(preset, bindings)
-    psi = run_circuit(circuit, bindings)
-    hpat = herald_pattern(circuit)
-    hp = pattern_probability(psi, hpat)
-    if hp <= 1e-300:
-        raise ZeroProbabilityError("herald pattern has zero probability")
-    rates = {}
-    for name, pattern, weight in _reduced_columns(circuit):
-        rates[name] = pattern_probability(psi, hpat.merged(pattern)) * weight / hp
-    return hp, rates
+def _load(args):
+    """The preset, or a circuit file as a preset with reduced-basis outcomes."""
+    if args.preset:
+        return build_preset(args.preset, model=args.model)
+    return preset_from_circuit(_read_circuit(args.circuit))
 
 
 def cmd_run(args):
-    circuit, preset = _load(args)
+    preset = _load(args)
+    if args.emit_icd and args.preset:
+        _write(args.emit_icd, serialize(preset.circuit))
     bindings = _parse_bindings(args.param)[0]
-    missing = sorted(p for p in circuit.params if p not in bindings)
+    missing = sorted(p for p in preset.circuit.params if p not in bindings)
     if missing:
         print(f"error: unbound parameter '{missing[0]}'", file=sys.stderr)
         return EXIT_UNBOUND
-    hp, rates = _rates(circuit, preset, bindings)
+    rates = gated_rates(preset, bindings)
+    hp = rates.herald_probability
     if args.format == "csv":
         print("outcome,probability")
         print(f"herald,{fmt(hp)}")
@@ -129,7 +108,8 @@ def cmd_run(args):
 
 
 def cmd_scan(args):
-    circuit, preset = _load(args)
+    preset = _load(args)
+    circuit = preset.circuit
     bindings, sweep = _parse_bindings(args.param)
     if sweep is None:
         candidates = sorted(p for p in circuit.params if p not in bindings)
@@ -144,25 +124,15 @@ def cmd_scan(args):
     if args.steps < 32:
         print("error: scan needs at least 32 steps", file=sys.stderr)
         return EXIT_PARSE
-    grid = args.start + (args.stop - args.start) * np.arange(args.steps) / args.steps
-    if preset is not None:
-        names = list(preset.outcome_names())
-    else:
-        names = [name for name, _, _ in _reduced_columns(circuit)]
+    scan = scan_phase(preset, sweep, args.steps, base=bindings, start=args.start,
+                      span=args.stop - args.start)
+    names = preset.outcome_names()
     lines = [sweep + "," + ",".join(names)]
-    for phi in grid:
-        b = dict(bindings)
-        b[sweep] = float(phi)
-        _, rates = _rates(circuit, preset, b)
-        lines.append(",".join([fmt(phi)] + [fmt(rates[name]) for name in names]))
+    for k, phi in enumerate(scan.grid):
+        lines.append(",".join([fmt(phi)] + [fmt(scan.samples[name][k]) for name in names]))
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -210,13 +180,7 @@ def cmd_fit(args):
 
 
 def cmd_validate(args):
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    circuit = parse(text)
+    circuit = _read_circuit(args.file)
     # phases never affect unitarity, so unbound parameters check fine at 0
     U = compose(circuit, {p: 0.0 for p in circuit.params})
     ok, dev = check_unitary(U, 1e-9 * circuit.modes)
@@ -224,6 +188,7 @@ def cmd_validate(args):
         print(f"error: composed matrix is not unitary (deviation {dev:.3e})",
               file=sys.stderr)
         return EXIT_PARSE
+    check_basis_size(circuit.modes, circuit.photons)
     print(f"OK: {circuit.modes} modes, {circuit.photons} photons, "
           f"{len(circuit.elements)} elements")
     return EXIT_OK
@@ -242,13 +207,12 @@ def cmd_chsh(args):
     return EXIT_OK
 
 
-def _add_circuit_args(sub, with_model=True):
+def _add_circuit_args(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=PRESET_NAMES)
     group.add_argument("--circuit", metavar="FILE.icd")
-    if with_model:
-        sub.add_argument("--model", choices=("resolving", "cascade"),
-                         default="resolving", help="detector model for fig1/fig3")
+    sub.add_argument("--model", choices=("resolving", "cascade"),
+                     default="resolving", help="detector model for fig1/fig3")
     sub.add_argument("--param", action="append", metavar="NAME[=RADIANS]",
                      help="bind a phase parameter (repeatable); bare NAME "
                           "selects the swept parameter for scan")
@@ -299,14 +263,6 @@ def main(argv=None) -> int:
         print("error: chsh needs exactly four angles", file=sys.stderr)
         return EXIT_PARSE
     try:
-        if getattr(args, "emit_icd", None) and args.preset:
-            preset = build_preset(args.preset, model=getattr(args, "model", "resolving"))
-            try:
-                with open(args.emit_icd, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(serialize(preset.circuit))
-            except OSError as exc:
-                print(f"error: cannot write {args.emit_icd}: {exc}", file=sys.stderr)
-                return EXIT_IO
         return args.func(args)
     except DslError as exc:
         for err in exc.errors:
@@ -318,6 +274,9 @@ def main(argv=None) -> int:
     except ZeroProbabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ZERO_PROB
+    except BasisTooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -17,6 +17,7 @@ All detected errors are reported, not just the first.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -145,20 +146,25 @@ class _Parser:
             return
         self.params.append(name)
 
-    def _stmt_source(self, line_no, line, args):
-        if not self._arity(line_no, line, args, 2, "source <MODE> <INT>"):
+    def _mode_count(self, line_no, line, args, keyword, what, entries):
+        """`<keyword> <MODE> <INT>`: a new mode and a count >= 0, into entries."""
+        if not self._arity(line_no, line, args, 2, f"{keyword} <MODE> <INT>"):
             return
-        mode = self._mode(line_no, line, args[0], "source mode")
-        count = self._int(line_no, line, args[1], "photon count")
+        mode = self._mode(line_no, line, args[0], f"{keyword} mode")
+        count = self._int(line_no, line, args[1], what)
         if mode is None or count is None:
             return
         if count < 0:
-            self.error(line_no, line.index(args[1]) + 1, "photon count must be >= 0", args[1])
+            self.error(line_no, line.index(args[1]) + 1, f"{what} must be >= 0", args[1])
             return
-        if any(m == mode for m, _ in self.sources):
-            self.error(line_no, line.index(args[0]) + 1, f"duplicate source mode {mode}", args[0])
+        if any(m == mode for m, _ in entries):
+            self.error(line_no, line.index(args[0]) + 1,
+                       f"duplicate {keyword} mode {mode}", args[0])
             return
-        self.sources.append((mode, count))
+        entries.append((mode, count))
+
+    def _stmt_source(self, line_no, line, args):
+        self._mode_count(line_no, line, args, "source", "photon count", self.sources)
 
     def _stmt_bs(self, line_no, line, args):
         if not self._arity(line_no, line, args, 2, "bs <MODE> <MODE>"):
@@ -179,10 +185,10 @@ class _Parser:
         if mode is None:
             return
         tok = args[1]
+        col = line.index(tok, line.index(args[0]) + 1) + 1
         if _IDENT_RE.match(tok):
             if tok not in self.params:
-                self.error(line_no, line.index(tok, line.index(args[0]) + 1) + 1,
-                           f"undeclared parameter '{tok}'", tok)
+                self.error(line_no, col, f"undeclared parameter '{tok}'", tok)
                 return
             self.elements.append(PhaseShifter(mode, tok))
             return
@@ -190,6 +196,9 @@ class _Parser:
             angle = float(tok)
         except ValueError:
             self.error(line_no, 1, "phase must be a number or a declared parameter", tok)
+            return
+        if not math.isfinite(angle):
+            self.error(line_no, col, "phase must be a finite number of radians", tok)
             return
         self.elements.append(PhaseShifter(mode, angle))
 
@@ -201,19 +210,7 @@ class _Parser:
             self.elements.append(Mirror(mode))
 
     def _stmt_herald(self, line_no, line, args):
-        if not self._arity(line_no, line, args, 2, "herald <MODE> <INT>"):
-            return
-        mode = self._mode(line_no, line, args[0], "herald mode")
-        count = self._int(line_no, line, args[1], "herald count")
-        if mode is None or count is None:
-            return
-        if count < 0:
-            self.error(line_no, line.index(args[1]) + 1, "herald count must be >= 0", args[1])
-            return
-        if any(m == mode for m, _ in self.heralds):
-            self.error(line_no, line.index(args[0]) + 1, f"duplicate herald mode {mode}", args[0])
-            return
-        self.heralds.append((mode, count))
+        self._mode_count(line_no, line, args, "herald", "herald count", self.heralds)
 
     def _stmt_label(self, line_no, line, args):
         if not self._arity(line_no, line, args, 2, "label <IDENT> <MODE>"):

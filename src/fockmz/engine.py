@@ -25,7 +25,7 @@ import numpy as np
 
 from .circuit import (BeamSplitter, Circuit, Mirror, PhaseShifter, compose,
                       resolve_phase)
-from .fock import FockBasis, StateVector, enumerate_basis
+from .fock import StateVector, enumerate_basis, state_from_sources
 
 PHOTON_LIMIT = 6  # default cap for permanent-based evolution
 
@@ -223,8 +223,7 @@ def evolve_elementwise(circuit: Circuit, bindings, psi: StateVector) -> StateVec
 
 def run_circuit(circuit: Circuit, bindings=None, engine="elementwise") -> StateVector:
     """Evolve the circuit's source state through all elements."""
-    from .fock import state_from_sources
-    psi = state_from_sources(circuit.modes, circuit.sources)
+    psi = state_from_sources(circuit.modes, circuit.sources, circuit.basis)
     if engine == "elementwise":
         return evolve_elementwise(circuit, bindings, psi)
     if engine == "full":
@@ -264,10 +263,10 @@ class DetectionPattern:
 def pattern_probability(psi: StateVector, pattern: DetectionPattern) -> float:
     if len(pattern.constraints) != psi.basis.modes:
         raise ValueError("pattern mode count does not match state")
+    amps = psi.amplitudes
     total = 0.0
-    for idx, v in enumerate(psi.basis.vectors):
-        if pattern.matches(v):
-            total += abs(psi.amplitudes[idx]) ** 2
+    for idx in psi.basis.matching(pattern):
+        total += abs(amps[idx]) ** 2
     return total
 
 

@@ -24,13 +24,14 @@ beam-splitter phase convention; checks assert convention-free structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circuit import BeamSplitter, Circuit, Mirror, PhaseShifter
 from .engine import (ConditionalResult, DetectionPattern, ZeroProbabilityError,
                      condition, pattern_probability, run_circuit)
+from .fock import enumerate_basis
 
 PRESET_NAMES = ("fig1", "fig2", "fig3", "sec4", "single", "ifm")
 
@@ -230,30 +231,42 @@ def build_preset(name: str, model: str = "resolving") -> Preset:
     return _BUILDERS[name](model=model)
 
 
-def herald_pattern(circuit: Circuit) -> DetectionPattern:
-    return DetectionPattern.exactly(circuit.modes, dict(circuit.heralds))
+class GatedRates(dict):
+    """Ordered {outcome: probability given the herald}, plus `herald_probability`."""
+
+    def __init__(self, herald_probability: float, rates):
+        super().__init__(rates)
+        self.herald_probability = herald_probability
 
 
-def gated_rates(preset: Preset, bindings=None) -> dict:
-    """Outcome probabilities conditional on the preset's herald constraints."""
+def gated_rates(preset: Preset, bindings=None) -> GatedRates:
+    """Outcome probabilities conditional on the preset's herald constraints,
+    from one evolution of the circuit."""
     psi = run_circuit(preset.circuit, bindings)
-    hp = herald_pattern(preset.circuit)
+    hp = _exact(preset.circuit.modes, dict(preset.circuit.heralds))
     p_herald = pattern_probability(psi, hp)
     if p_herald <= 1e-300:
         raise ZeroProbabilityError("herald pattern has zero probability")
-    rates = {}
+    rates = {name: pattern_probability(psi, hp.merged(out.pattern)) * out.weight / p_herald
+             for name, out in preset.outcomes if out.pattern is not REST}
     accounted = 0.0
-    rest_names = []
-    for name, out in preset.outcomes:
-        if out.pattern is REST:
-            rest_names.append(name)
-            continue
-        p = pattern_probability(psi, hp.merged(out.pattern)) * out.weight / p_herald
-        rates[name] = p
+    for p in rates.values():
         accounted += p
-    for name in rest_names:
-        rates[name] = max(0.0, 1.0 - accounted)
-    return {name: rates[name] for name, _ in preset.outcomes}
+    rest = max(0.0, 1.0 - accounted)
+    return GatedRates(p_herald, ((name, rates.get(name, rest)) for name, _ in preset.outcomes))
+
+
+def preset_from_circuit(circuit: Circuit) -> Preset:
+    """A preset with one outcome p_<counts> per occupation of the unheralded
+    modes, in `condition`'s reduced-basis order."""
+    heralds = dict(circuit.heralds)
+    kept = [m for m in range(circuit.modes) if m not in heralds]
+    n_left = circuit.photons - sum(heralds.values())
+    # heralds wanting more photons than there are: no outcomes, zero herald
+    vectors = enumerate_basis(len(kept), n_left).vectors if n_left >= 0 else ()
+    return Preset("circuit", circuit, tuple(
+        ("p_" + "_".join(map(str, v)), Outcome(_exact(circuit.modes, dict(zip(kept, v)))))
+        for v in vectors))
 
 
 def heralded_state(preset: Preset, bindings=None, *,
@@ -262,9 +275,7 @@ def heralded_state(preset: Preset, bindings=None, *,
     where the fig1/fig3 presets hold their two-term N-photon superposition."""
     circ = preset.circuit
     if before_analyzer and preset.analysis_point is not None:
-        circ = Circuit(modes=circ.modes, sources=circ.sources,
-                       elements=circ.elements[:preset.analysis_point],
-                       heralds=circ.heralds, labels=circ.labels, params=circ.params)
+        circ = replace(circ, elements=circ.elements[:preset.analysis_point])
     psi = run_circuit(circ, bindings)
     return condition(psi, circ.heralds)
 

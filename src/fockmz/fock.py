@@ -7,7 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-FockVector = tuple  # occupation counts per mode, e.g. (2, 0, 0, 1)
+MAX_BASIS_DIM = 10 ** 6  # largest basis that is enumerated
+
+
+class BasisTooLargeError(ValueError):
+    """A basis above MAX_BASIS_DIM vectors, refused before enumeration."""
 
 
 def _gen_occupations(modes, photons):
@@ -25,22 +29,26 @@ class FockBasis:
     """All occupation vectors of `photons` photons over `modes` modes.
 
     Ordering is descending lexicographic with mode 0 most significant,
-    so (2,0) < (1,1) < (0,2) by index.
+    so (2,0) < (1,1) < (0,2) by index. The indices a detection pattern
+    matches are memoised per pattern (`matching`).
     """
 
     modes: int
     photons: int
     vectors: tuple = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
+    _matches: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.modes < 1:
             raise ValueError("modes must be >= 1")
         if self.photons < 0:
             raise ValueError("photons must be >= 0")
+        check_basis_size(self.modes, self.photons)
         vecs = tuple(_gen_occupations(self.modes, self.photons))
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(vecs)})
+        object.__setattr__(self, "_matches", {})
 
     def __len__(self):
         return len(self.vectors)
@@ -57,6 +65,13 @@ class FockBasis:
             raise IndexError(f"basis index {i} out of range 0..{len(self.vectors) - 1}")
         return self.vectors[i]
 
+    def matching(self, pattern) -> tuple:
+        """Ascending indices of the vectors a (hashable) pattern matches."""
+        if pattern not in self._matches:
+            self._matches[pattern] = tuple(
+                i for i, v in enumerate(self.vectors) if pattern.matches(v))
+        return self._matches[pattern]
+
 
 def enumerate_basis(modes: int, photons: int) -> FockBasis:
     return FockBasis(modes, photons)
@@ -65,6 +80,16 @@ def enumerate_basis(modes: int, photons: int) -> FockBasis:
 def basis_size(modes: int, photons: int) -> int:
     """Stars-and-bars count C(photons + modes - 1, photons)."""
     return math.comb(photons + modes - 1, photons)
+
+
+def check_basis_size(modes: int, photons: int) -> int:
+    """The basis dimension, or BasisTooLargeError above MAX_BASIS_DIM."""
+    dim = basis_size(modes, photons)
+    if dim > MAX_BASIS_DIM:
+        raise BasisTooLargeError(
+            f"{photons} photons in {modes} modes need {dim} basis vectors, "
+            f"above the limit of {MAX_BASIS_DIM}")
+    return dim
 
 
 @dataclass(frozen=True)
@@ -100,8 +125,8 @@ def inner_product(x: StateVector, y: StateVector) -> complex:
     return complex(np.vdot(x.amplitudes, y.amplitudes))
 
 
-def state_from_sources(modes: int, sources) -> StateVector:
-    """Basis state with the given occupations: sources is [(mode, count), ...]."""
+def source_occupation(modes: int, sources) -> tuple:
+    """Occupation vector of sources [(mode, count), ...], each mode at most once."""
     counts = [0] * modes
     seen = set()
     for mode, n in sources:
@@ -113,7 +138,15 @@ def state_from_sources(modes: int, sources) -> StateVector:
             raise ValueError("source photon count must be >= 0")
         seen.add(mode)
         counts[mode] = n
-    basis = enumerate_basis(modes, sum(counts))
+    return tuple(counts)
+
+
+def state_from_sources(modes: int, sources, basis: FockBasis = None) -> StateVector:
+    """Basis state with the given sources, in `basis` if given, else in a
+    newly enumerated basis."""
+    occupation = source_occupation(modes, sources)
+    if basis is None:
+        basis = enumerate_basis(modes, sum(occupation))
     amps = np.zeros(len(basis), dtype=complex)
-    amps[basis.rank(tuple(counts))] = 1.0
+    amps[basis.rank(occupation)] = 1.0
     return StateVector(basis, amps)

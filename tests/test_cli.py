@@ -1,8 +1,12 @@
+import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
 
+import fockmz
+from fockmz import cli, engine, experiments, fock
 from fockmz.cli import fmt, main
 
 MZ_TEXT = """\
@@ -15,10 +19,54 @@ bs 0 1
 """
 
 
+# fig1's front end plus a second analyser, heralded on mode 0 only
+HERALDED_TEXT = """\
+modes 4
+param phi
+source 0 2
+source 2 1
+bs 0 1
+bs 0 2
+bs 1 3
+phase 2 phi
+bs 2 3
+phase 3 0.4
+bs 1 3
+herald 0 1
+"""
+
+UNHERALDED_TEXT = """\
+modes 3
+param phi
+source 0 2
+source 1 1
+bs 0 1
+phase 0 phi
+mirror 1
+bs 1 2
+phase 2 0.3
+bs 0 2
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, fn):
+    """Wrap fn in every fockmz module that holds it; returns the list of calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in (fockmz, cli, engine, experiments):
+        if getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
 
 
 class TestFormatting:
@@ -98,6 +146,133 @@ class TestRun:
         csv_nums = {cell for line in csv.splitlines()[1:]
                     for cell in [line.split(",")[1]]}
         assert pretty_nums == csv_nums
+
+
+class TestCircuitFileOutput:
+    """Circuit-file output bytes, recorded before circuit files shared the
+    preset rate path."""
+
+    def test_run_heralded_csv(self, tmp_path, capsys):
+        f = tmp_path / "h.icd"
+        f.write_text(HERALDED_TEXT)
+        code, out, _ = run_cli(capsys, "run", "--circuit", str(f),
+                               "--param", "phi=0.7", "--format", "csv")
+        assert code == 0
+        assert out == ("outcome,probability\n"
+                       "herald,0.156250000000\n"
+                       "p_2_0_0,0.0235590561481\n"
+                       "p_1_1_0,0.118870247712\n"
+                       "p_1_0_1,0.0129808601947\n"
+                       "p_0_2_0,0.0830032857100\n"
+                       "p_0_1_1,0.315123180868\n"
+                       "p_0_0_2,0.446463369367\n")
+
+    def test_run_heralded_pretty(self, tmp_path, capsys):
+        f = tmp_path / "h.icd"
+        f.write_text(HERALDED_TEXT)
+        code, out, _ = run_cli(capsys, "run", "--circuit", str(f),
+                               "--param", "phi=0.7")
+        assert code == 0
+        assert out == ("herald probability: 0.156250000000\n"
+                       "  p_2_0_0  0.0235590561481\n"
+                       "  p_1_1_0  0.118870247712\n"
+                       "  p_1_0_1  0.0129808601947\n"
+                       "  p_0_2_0  0.0830032857100\n"
+                       "  p_0_1_1  0.315123180868\n"
+                       "  p_0_0_2  0.446463369367\n")
+
+    def test_run_unheralded_csv(self, tmp_path, capsys):
+        f = tmp_path / "u.icd"
+        f.write_text(UNHERALDED_TEXT)
+        code, out, _ = run_cli(capsys, "run", "--circuit", str(f),
+                               "--param", "phi=1.3", "--format", "csv")
+        assert code == 0
+        assert out == ("outcome,probability\n"
+                       "herald,1.00000000000\n"
+                       "p_3_0_0,0.176827865580\n"
+                       "p_2_1_0,0.113477239975\n"
+                       "p_2_0_1,0.0929609792758\n"
+                       "p_1_2_0,0.121754821035\n"
+                       "p_1_1_1,0.0625487340737\n"
+                       "p_1_0_2,0.188362121835\n"
+                       "p_0_3_0,0.0468750000000\n"
+                       "p_0_2_1,0.0501201789653\n"
+                       "p_0_1_2,0.0895990259516\n"
+                       "p_0_0_3,0.0574740333092\n")
+
+    @pytest.mark.parametrize("text, argv, head, digest", [
+        (HERALDED_TEXT, ("--param", "phi", "--steps", "32"),
+         "phi,p_2_0_0,p_1_1_0,p_1_0_1,p_0_2_0,p_0_1_1,p_0_0_2\n"
+         "0.000000000000,0.0197423050508,0.0394846101017,0.100000000000,"
+         "0.00000000000000000000000000000000493038065763,0.560515389898,"
+         "0.280257694949\n",
+         "745a601d4480c6f26667d93ba6c22bc65c6036f2603f8db4b82fea5027cc6b9c"),
+        (UNHERALDED_TEXT, ("--steps", "40", "--start", "-1", "--stop", "2"),
+         "phi,p_3_0_0,p_2_1_0,p_2_0_1,p_1_2_0,p_1_1_1,p_1_0_2,p_0_3_0,p_0_2_1,"
+         "p_0_1_2,p_0_0_3\n"
+         "-1.00000000000,0.185501725245,0.128108855179,0.0626089487231,"
+         "0.103670334595,0.0212291793717,0.156734820334,0.0468750000000,"
+         "0.0682046654050,0.116286965449,0.110779505698\n",
+         "84627ae46e01e673b2cde1d5c8f0bd801a8e8b8bc57476121497fa69834677df"),
+    ], ids=["heralded", "unheralded"])
+    def test_scan_bytes(self, tmp_path, capsys, text, argv, head, digest):
+        f = tmp_path / "c.icd"
+        f.write_text(text)
+        code, out, _ = run_cli(capsys, "scan", "--circuit", str(f), *argv)
+        assert code == 0
+        assert out.startswith(head)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_heralds_above_photon_number_exit_3(self, tmp_path, capsys):
+        f = tmp_path / "over.icd"
+        f.write_text("modes 3\nparam phi\nsource 0 1\nphase 0 phi\nherald 1 2\n")
+        code, out, err = run_cli(capsys, "scan", "--circuit", str(f), "--param", "phi")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+
+
+class TestOneEvaluationPerPoint:
+    @pytest.mark.parametrize("steps", [32, 45])
+    def test_preset_scan_evolves_once_per_point(self, tmp_path, monkeypatch,
+                                                capsys, steps):
+        calls = count_calls(monkeypatch, engine.run_circuit)
+        code, _, _ = run_cli(capsys, "scan", "--preset", "fig1", "--param", "phi",
+                             "--steps", str(steps), "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert len(calls) == steps
+
+    def test_circuit_file_scan_evolves_once_per_point(self, tmp_path, monkeypatch,
+                                                      capsys):
+        f = tmp_path / "h.icd"
+        f.write_text(HERALDED_TEXT)
+        calls = count_calls(monkeypatch, engine.run_circuit)
+        code, _, _ = run_cli(capsys, "scan", "--circuit", str(f), "--steps", "32")
+        assert code == 0
+        assert len(calls) == 32
+
+    @pytest.mark.parametrize("argv", [
+        ("--preset", "ifm"),
+        ("--preset", "fig2", "--param", "phi1=0.1", "--param", "phi2=0.2"),
+    ])
+    def test_run_evolves_once(self, monkeypatch, capsys, argv):
+        calls = count_calls(monkeypatch, engine.run_circuit)
+        code, _, _ = run_cli(capsys, "run", *argv)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_preset_scan_builds_one_basis(self, tmp_path, monkeypatch, capsys):
+        built = []
+        original = fock.FockBasis.__post_init__
+
+        def counted(self):
+            built.append((self.modes, self.photons))
+            original(self)
+
+        monkeypatch.setattr(fock.FockBasis, "__post_init__", counted)
+        code, _, _ = run_cli(capsys, "scan", "--preset", "fig3", "--param", "phi",
+                             "--steps", "64", "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert built == [(4, 5)]
 
 
 class TestScan:
@@ -208,6 +383,31 @@ class TestFit:
         assert "nope" in err
 
 
+class TestSizeLimit:
+    TEXT = "modes 40\nsource 0 12\n"  # C(51, 12) ~ 1.6e11 basis vectors
+
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def refuse(modes, photons):
+            raise AssertionError("enumeration started past the size limit")
+            yield  # pragma: no cover
+
+        monkeypatch.setattr(fock, "_gen_occupations", refuse)
+
+    @pytest.mark.parametrize("command", ["run", "scan", "validate"])
+    def test_oversized_basis_exit_1(self, tmp_path, capsys, no_enumeration, command):
+        f = tmp_path / "big.icd"
+        f.write_text(self.TEXT)
+        argv = [command, str(f)] if command == "validate" else [command, "--circuit", str(f)]
+        if command == "scan":
+            argv += ["--param", "phi"]
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "limit" in err
+
+
 class TestValidate:
     def test_valid_preset_file(self, tmp_path, capsys):
         icd = tmp_path / "fig1.icd"
@@ -234,6 +434,17 @@ class TestValidate:
     def test_missing_file_exit_4(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "/nonexistent/x.icd")
         assert code == 4
+
+    @pytest.mark.parametrize("literal", ["1e400", "-inf", "+nan", "-1e999"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_non_finite_phase_literal_exit_1(self, tmp_path, capsys, command, literal):
+        f = tmp_path / "nf.icd"
+        f.write_text(f"modes 2\nsource 0 1\nphase 0 {literal}\n")
+        argv = [command, str(f)] if command == "validate" else [command, "--circuit", str(f)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"error: line 3, column 9: phase must be a finite number "
+                       f"of radians (near '{literal}')\n")
 
 
 class TestChsh:

@@ -147,3 +147,25 @@ def test_fuzzed_round_trip():
         circ = Circuit(modes, sources, tuple(elements), heralds=heralds,
                        params=frozenset(params))
         assert parse(serialize(circ)) == circ
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "-inf", "+inf", "+nan",
+                                     "-nan", "-Infinity"])
+def test_non_finite_phase_literal_reported(literal):
+    errs = errors_of(f"modes 2\nsource 0 1\nphase 0 {literal}\nmirror 1\n")
+    assert [(e.line, e.column, e.token) for e in errs] == [(3, 9, literal)]
+    assert "finite" in errs[0].message
+
+
+@pytest.mark.parametrize("word", ["inf", "nan", "Infinity"])
+def test_non_finite_names_are_parameters(word):
+    # bare words are identifiers: undeclared they are errors, declared they bind
+    errs = errors_of(f"modes 2\nsource 0 1\nphase 0 {word}\n")
+    assert "undeclared parameter" in errs[0].message
+    circ = parse(f"modes 2\nparam {word}\nsource 0 1\nphase 0 {word}\n")
+    assert circ.elements == (PhaseShifter(0, word),)
+
+
+def test_finite_extreme_phase_literals_parse():
+    circ = parse("modes 2\nsource 0 1\nphase 0 1e300\nphase 1 -5e-324\n")
+    assert circ.elements == (PhaseShifter(0, 1e300), PhaseShifter(1, -5e-324))

@@ -9,7 +9,7 @@ from fockmz import (BeamSplitter, Circuit, Mirror, PhaseShifter,
                     permanent_naive, permanent_ryser, run_circuit,
                     state_from_sources, transition_amplitude)
 from fockmz.engine import DetectionPattern, ZeroProbabilityError, permanent
-from fockmz.fock import StateVector
+from fockmz.fock import StateVector, enumerate_basis
 
 
 def random_unitary(rng, n):
@@ -240,3 +240,50 @@ class TestPatternsAndConditioning:
         circ = Circuit(3, ((0, 1), (2, 1)), (BeamSplitter(0, 1), BeamSplitter(0, 2)))
         res = condition(run_circuit(circ), [(0, 1)])
         assert res.reduced_state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def full_scan_probability(psi, pattern):
+    """pattern_probability without the per-basis index memo."""
+    total = 0.0
+    for idx, v in enumerate(psi.basis.vectors):
+        if pattern.matches(v):
+            total += abs(psi.amplitudes[idx]) ** 2
+    return total
+
+
+class TestMemoisedBasisWork:
+    def test_pattern_probability_bit_identical_to_full_scan(self):
+        rng = np.random.default_rng(23)
+        for modes, photons in ((2, 3), (4, 3), (5, 4), (6, 2)):
+            basis = enumerate_basis(modes, photons)
+            patterns = [DetectionPattern(tuple(
+                None if rng.random() < 0.5 else int(rng.integers(0, photons + 1))
+                for _ in range(modes))) for _ in range(12)]
+            for _ in range(5):
+                amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+                psi = StateVector(basis, amps).normalize()
+                for pattern in patterns:
+                    want = full_scan_probability(psi, pattern)
+                    assert pattern_probability(psi, pattern) == want
+                    assert pattern_probability(psi, pattern) == want  # memo hit
+
+    def test_matching_indices_are_ascending_and_memoised(self):
+        basis = enumerate_basis(4, 3)
+        pattern = DetectionPattern.exactly(4, {1: 1})
+        indices = basis.matching(pattern)
+        assert indices == tuple(i for i, v in enumerate(basis.vectors) if v[1] == 1)
+        assert basis.matching(DetectionPattern.exactly(4, {1: 1})) is indices
+        assert basis.matching(DetectionPattern.exactly(4, {1: 4})) == ()
+
+    def test_circuit_holds_one_basis_and_fresh_amplitudes(self):
+        circ = Circuit(3, ((0, 1), (2, 1)), (BeamSplitter(0, 1), PhaseShifter(1, "x"),
+                                              BeamSplitter(1, 2)), params={"x"})
+        first = run_circuit(circ, {"x": 0.3})
+        kept = first.amplitudes.copy()
+        second = run_circuit(circ, {"x": 1.9})
+        third = run_circuit(circ, {"x": 0.3}, engine="full")
+        assert first.basis is second.basis is third.basis is circ.basis
+        assert first.amplitudes is not second.amplitudes
+        assert np.array_equal(first.amplitudes, kept)
+        assert np.max(np.abs(first.amplitudes - third.amplitudes)) <= 1e-12
+        assert circ.basis.vectors == enumerate_basis(3, 2).vectors

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from fockmz import (StateVector, basis_size, enumerate_basis, inner_product,
-                    state_from_sources)
+from fockmz import (Circuit, StateVector, basis_size, enumerate_basis,
+                    inner_product, run_circuit, state_from_sources)
+from fockmz import fock
+from fockmz.fock import MAX_BASIS_DIM, BasisTooLargeError, check_basis_size
 
 
 def brute_force_occupations(modes, photons):
@@ -119,3 +121,25 @@ def test_normalize_zero_state_errors():
     basis = enumerate_basis(2, 1)
     with pytest.raises(ZeroDivisionError):
         StateVector(basis, np.zeros(2)).normalize()
+
+
+def test_oversized_basis_refused_before_enumeration(monkeypatch):
+    def refuse(modes, photons):
+        raise AssertionError("enumeration started past the size limit")
+        yield  # pragma: no cover
+
+    monkeypatch.setattr(fock, "_gen_occupations", refuse)
+    assert basis_size(40, 12) > MAX_BASIS_DIM
+    with pytest.raises(BasisTooLargeError, match="limit"):
+        enumerate_basis(40, 12)
+    with pytest.raises(BasisTooLargeError):
+        state_from_sources(40, [(0, 12)])
+    with pytest.raises(BasisTooLargeError):
+        run_circuit(Circuit(40, ((0, 12),), ()))
+
+
+def test_largest_allowed_dimension_is_the_limit():
+    # one photon in M modes has M basis vectors
+    assert check_basis_size(MAX_BASIS_DIM, 1) == MAX_BASIS_DIM
+    with pytest.raises(BasisTooLargeError):
+        check_basis_size(MAX_BASIS_DIM + 1, 1)
