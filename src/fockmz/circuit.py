@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import FockBasis, enumerate_basis, source_occupation
+from .fock import FockBasis, enumerate_basis, occupation_errors
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -59,6 +59,46 @@ def resolve_phase(phase, bindings) -> float:
     return value
 
 
+def circuit_errors(modes, sources, elements, heralds, labels, params):
+    """Every rule the parts of a circuit break, as (field, index, message):
+    the Circuit field, the index of the offending entry in it (None for
+    `modes`) and what is wrong. Errors come in `.icd` statement order, so the
+    first one is also the first the `.icd` parser reports.
+    """
+    if modes < 1:
+        yield "modes", None, "circuit needs at least one mode"
+        return  # with no mode in range, every other rule would only repeat this
+    for index, message in occupation_errors(modes, sources, "source"):
+        yield "sources", index, message
+    for index, el in enumerate(elements):
+        if isinstance(el, BeamSplitter):
+            kind, used = "beam splitter", (el.i, el.j)
+        elif isinstance(el, PhaseShifter):
+            kind, used = "phase shifter", (el.mode,)
+        elif isinstance(el, Mirror):
+            kind, used = "mirror", (el.mode,)
+        else:
+            raise TypeError(f"unknown element {el!r}")
+        for mode in used:
+            if not 0 <= mode < modes:
+                yield "elements", index, f"{kind} mode {mode} out of range for {modes} modes"
+        if isinstance(el, BeamSplitter) and el.i == el.j:
+            yield "elements", index, "beam splitter modes must be distinct"
+        if isinstance(el, PhaseShifter) and isinstance(el.phase, str) and el.phase not in params:
+            yield "elements", index, f"undeclared parameter '{el.phase}'"
+    for index, message in occupation_errors(modes, heralds, "herald"):
+        yield "heralds", index, message
+    if len({mode for mode, _ in heralds if 0 <= mode < modes}) == modes:
+        yield "heralds", len(heralds) - 1, "heralds leave no free mode"
+    names = set()
+    for index, (name, mode) in enumerate(labels):
+        if not 0 <= mode < modes:
+            yield "labels", index, f"label mode {mode} out of range for {modes} modes"
+        if name in names:
+            yield "labels", index, f"duplicate label '{name}'"
+        names.add(name)
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered optical elements plus sources, heralds and phase parameters."""
@@ -74,41 +114,12 @@ class Circuit:
         object.__setattr__(self, "sources", tuple((int(m), int(n)) for m, n in self.sources))
         object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(self, "heralds", tuple((int(m), int(n)) for m, n in self.heralds))
-        object.__setattr__(self, "labels",
-                           tuple(sorted((str(n), int(m)) for n, m in self.labels)))
         object.__setattr__(self, "params", frozenset(self.params))
-        self._validate()
-
-    def _validate(self):
-        M = self.modes
-        if M < 1:
-            raise ValueError("circuit needs at least one mode")
-        source_occupation(M, self.sources)
-        for el in self.elements:
-            if isinstance(el, BeamSplitter):
-                if el.i == el.j:
-                    raise ValueError("beam splitter modes must be distinct")
-                if not (0 <= el.i < M and 0 <= el.j < M):
-                    raise ValueError(f"beam splitter mode out of range: {el}")
-            elif isinstance(el, PhaseShifter):
-                if not 0 <= el.mode < M:
-                    raise ValueError(f"phase shifter mode {el.mode} out of range")
-                if isinstance(el.phase, str) and el.phase not in self.params:
-                    raise ValueError(f"phase parameter '{el.phase}' not declared")
-            elif isinstance(el, Mirror):
-                if not 0 <= el.mode < M:
-                    raise ValueError(f"mirror mode {el.mode} out of range")
-            else:
-                raise TypeError(f"unknown element {el!r}")
-        hseen = set()
-        for mode, n in self.heralds:
-            if not 0 <= mode < M:
-                raise ValueError(f"herald mode {mode} out of range")
-            if mode in hseen:
-                raise ValueError(f"duplicate herald mode {mode}")
-            if n < 0:
-                raise ValueError("negative herald photon count")
-            hseen.add(mode)
+        labels = tuple((str(n), int(m)) for n, m in self.labels)  # sorted once valid
+        for _, _, message in circuit_errors(self.modes, self.sources, self.elements,
+                                            self.heralds, labels, self.params):
+            raise ValueError(message)
+        object.__setattr__(self, "labels", tuple(sorted(labels)))
 
     @property
     def photons(self) -> int:

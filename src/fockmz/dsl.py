@@ -12,7 +12,9 @@ sections must appear in order: modes, param, source, element, herald, label):
     herald <MODE> <INT>
     label  <IDENT> <MODE>
 
-All detected errors are reported, not just the first.
+All detected errors are reported, sorted by line and column. The parser
+checks only tokens and statement order; every circuit rule comes from
+`circuit_errors`, reported at the first argument of the offending statement.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .circuit import BeamSplitter, Circuit, Mirror, PhaseShifter
+from .circuit import BeamSplitter, Circuit, Mirror, PhaseShifter, circuit_errors
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -54,8 +56,7 @@ class DslError(ValueError):
 
 
 class _Parser:
-    def __init__(self, text):
-        self.text = text
+    def __init__(self):
         self.errors = []
         self.modes = None
         self.params = []
@@ -63,26 +64,23 @@ class _Parser:
         self.elements = []
         self.heralds = []
         self.labels = []
+        # (line, column of the first argument) of each entry, per Circuit field
+        self.where = {f: [] for f in ("modes", "sources", "elements", "heralds", "labels")}
+        self.at = None  # the same for the current statement
         self.section = -1
 
     def error(self, line_no, col, message, token=""):
         self.errors.append(ParseError(line_no, col, message, token))
+
+    def _add(self, field, entry):
+        getattr(self, field).append(entry)
+        self.where[field].append(self.at)
 
     def _int(self, line_no, line, tok, what):
         try:
             v = int(tok, 10)
         except ValueError:
             self.error(line_no, line.index(tok) + 1, f"{what} must be an integer", tok)
-            return None
-        return v
-
-    def _mode(self, line_no, line, tok, what="mode"):
-        v = self._int(line_no, line, tok, what)
-        if v is None:
-            return None
-        if v < 0 or (self.modes is not None and v >= self.modes):
-            self.error(line_no, line.index(tok) + 1,
-                       f"{what} {v} out of range (modes={self.modes})", tok)
             return None
         return v
 
@@ -111,6 +109,8 @@ class _Parser:
             return
         if not self._enter(line_no, keyword):
             return
+        if args:
+            self.at = (line_no, line.index(args[0], line.index(keyword) + len(keyword)) + 1)
         handler = getattr(self, "_stmt_" + keyword)
         handler(line_no, line, args)
 
@@ -126,13 +126,11 @@ class _Parser:
         v = self._int(line_no, line, args[0], "mode count")
         if v is None:
             return
-        if v < 1:
-            self.error(line_no, line.index(args[0]) + 1, "mode count must be >= 1", args[0])
-            return
         if self.modes is not None:
             self.error(line_no, 1, "duplicate 'modes' statement", "modes")
             return
         self.modes = v
+        self.where["modes"].append(self.at)
 
     def _stmt_param(self, line_no, line, args):
         if not self._arity(line_no, line, args, 1, "param <IDENT>"):
@@ -146,51 +144,36 @@ class _Parser:
             return
         self.params.append(name)
 
-    def _mode_count(self, line_no, line, args, keyword, what, entries):
-        """`<keyword> <MODE> <INT>`: a new mode and a count >= 0, into entries."""
+    def _mode_count(self, line_no, line, args, keyword, what):
+        """`<keyword> <MODE> <INT>` into the sources or heralds."""
         if not self._arity(line_no, line, args, 2, f"{keyword} <MODE> <INT>"):
             return
-        mode = self._mode(line_no, line, args[0], f"{keyword} mode")
+        mode = self._int(line_no, line, args[0], f"{keyword} mode")
         count = self._int(line_no, line, args[1], what)
-        if mode is None or count is None:
-            return
-        if count < 0:
-            self.error(line_no, line.index(args[1]) + 1, f"{what} must be >= 0", args[1])
-            return
-        if any(m == mode for m, _ in entries):
-            self.error(line_no, line.index(args[0]) + 1,
-                       f"duplicate {keyword} mode {mode}", args[0])
-            return
-        entries.append((mode, count))
+        if mode is not None and count is not None:
+            self._add(keyword + "s", (mode, count))
 
     def _stmt_source(self, line_no, line, args):
-        self._mode_count(line_no, line, args, "source", "photon count", self.sources)
+        self._mode_count(line_no, line, args, "source", "photon count")
 
     def _stmt_bs(self, line_no, line, args):
         if not self._arity(line_no, line, args, 2, "bs <MODE> <MODE>"):
             return
-        i = self._mode(line_no, line, args[0])
-        j = self._mode(line_no, line, args[1])
-        if i is None or j is None:
-            return
-        if i == j:
-            self.error(line_no, 1, "beam splitter modes must be distinct", line.strip())
-            return
-        self.elements.append(BeamSplitter(i, j))
+        i = self._int(line_no, line, args[0], "mode")
+        j = self._int(line_no, line, args[1], "mode")
+        if i is not None and j is not None:
+            self._add("elements", BeamSplitter(i, j))
 
     def _stmt_phase(self, line_no, line, args):
         if not self._arity(line_no, line, args, 2, "phase <MODE> (<NUMBER>|<IDENT>)"):
             return
-        mode = self._mode(line_no, line, args[0])
+        mode = self._int(line_no, line, args[0], "mode")
         if mode is None:
             return
         tok = args[1]
         col = line.index(tok, line.index(args[0]) + 1) + 1
         if _IDENT_RE.match(tok):
-            if tok not in self.params:
-                self.error(line_no, col, f"undeclared parameter '{tok}'", tok)
-                return
-            self.elements.append(PhaseShifter(mode, tok))
+            self._add("elements", PhaseShifter(mode, tok))
             return
         try:
             angle = float(tok)
@@ -200,17 +183,17 @@ class _Parser:
         if not math.isfinite(angle):
             self.error(line_no, col, "phase must be a finite number of radians", tok)
             return
-        self.elements.append(PhaseShifter(mode, angle))
+        self._add("elements", PhaseShifter(mode, angle))
 
     def _stmt_mirror(self, line_no, line, args):
         if not self._arity(line_no, line, args, 1, "mirror <MODE>"):
             return
-        mode = self._mode(line_no, line, args[0])
+        mode = self._int(line_no, line, args[0], "mode")
         if mode is not None:
-            self.elements.append(Mirror(mode))
+            self._add("elements", Mirror(mode))
 
     def _stmt_herald(self, line_no, line, args):
-        self._mode_count(line_no, line, args, "herald", "herald count", self.heralds)
+        self._mode_count(line_no, line, args, "herald", "herald count")
 
     def _stmt_label(self, line_no, line, args):
         if not self._arity(line_no, line, args, 2, "label <IDENT> <MODE>"):
@@ -219,19 +202,21 @@ class _Parser:
         if not _IDENT_RE.match(name):
             self.error(line_no, line.index(name) + 1, "invalid label name", name)
             return
-        mode = self._mode(line_no, line, args[1], "label mode")
-        if mode is None:
-            return
-        if any(n == name for n, _ in self.labels):
-            self.error(line_no, line.index(name) + 1, f"duplicate label '{name}'", name)
-            return
-        self.labels.append((name, mode))
+        mode = self._int(line_no, line, args[1], "label mode")
+        if mode is not None:
+            self._add("labels", (name, mode))
 
     def result(self):
-        if self.modes is None and not any("modes" in e.message for e in self.errors):
-            self.errors.append(ParseError(1, 1, "missing 'modes' statement"))
+        if self.modes is None:
+            if not any("modes" in e.message for e in self.errors):
+                self.errors.append(ParseError(1, 1, "missing 'modes' statement"))
+        else:
+            for field, index, message in circuit_errors(
+                    self.modes, self.sources, self.elements, self.heralds,
+                    self.labels, self.params):
+                self.error(*self.where[field][index or 0], message)
         if self.errors:
-            raise DslError(self.errors)
+            raise DslError(sorted(self.errors, key=lambda e: (e.line, e.column)))
         return Circuit(
             modes=self.modes,
             sources=tuple(self.sources),
@@ -244,7 +229,7 @@ class _Parser:
 
 def parse(text: str) -> Circuit:
     """Parses `.icd` source into a Circuit; raises DslError with all diagnostics."""
-    parser = _Parser(text)
+    parser = _Parser()
     for line_no, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         parser.parse_line(line_no, raw)
     return parser.result()

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (BeamSplitter, Circuit, Mirror, PhaseShifter, compose,
-                      resolve_phase)
+from .circuit import (BeamSplitter, Circuit, Mirror, PhaseShifter,
+                      circuit_errors, compose, resolve_phase)
 from .fock import StateVector, enumerate_basis, state_from_sources
 
 PHOTON_LIMIT = 6  # default cap for permanent-based evolution
@@ -270,6 +270,14 @@ def pattern_probability(psi: StateVector, pattern: DetectionPattern) -> float:
     return total
 
 
+def herald_probability(psi: StateVector, pattern: DetectionPattern) -> float:
+    """The herald pattern's probability; ZeroProbabilityError if it is zero."""
+    p = pattern_probability(psi, pattern)
+    if p <= 1e-300:
+        raise ZeroProbabilityError("herald pattern has zero probability")
+    return p
+
+
 @dataclass(frozen=True)
 class ConditionalResult:
     probability: float
@@ -281,24 +289,13 @@ def condition(psi: StateVector, heralds) -> ConditionalResult:
     """Project onto exact herald counts and renormalize over the free modes."""
     basis = psi.basis
     heralds = tuple((int(m), int(n)) for m, n in heralds)
-    hmodes = [m for m, _ in heralds]
-    if len(set(hmodes)) != len(hmodes):
-        raise ValueError("herald modes must be distinct")
+    for _, _, message in circuit_errors(basis.modes, (), (), heralds, (), ()):
+        raise ValueError(message)
     hmap = dict(heralds)
+    pattern = DetectionPattern.exactly(basis.modes, hmap)
+    prob = herald_probability(psi, pattern)
     kept = tuple(m for m in range(basis.modes) if m not in hmap)
-    if not kept:
-        raise ValueError("conditioning must leave at least one free mode")
-    n_left = basis.photons - sum(hmap.values())
-    if n_left < 0:
-        raise ZeroProbabilityError("herald counts exceed total photon number")
-    red_basis = enumerate_basis(len(kept), n_left)
-    red = np.zeros(len(red_basis), dtype=complex)
-    prob = 0.0
-    for idx, v in enumerate(basis.vectors):
-        if all(v[m] == n for m, n in heralds):
-            amp = psi.amplitudes[idx]
-            prob += abs(amp) ** 2
-            red[red_basis.rank(tuple(v[m] for m in kept))] = amp
-    if prob <= 1e-300:
-        raise ZeroProbabilityError("herald pattern has zero probability")
+    red_basis = enumerate_basis(len(kept), basis.photons - sum(hmap.values()))
+    # ascending matches run through the free modes in reduced-basis order
+    red = psi.amplitudes[list(basis.matching(pattern))]
     return ConditionalResult(prob, StateVector(red_basis, red / math.sqrt(prob)), kept)

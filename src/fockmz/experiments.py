@@ -30,7 +30,8 @@ import numpy as np
 
 from .circuit import BeamSplitter, Circuit, Mirror, PhaseShifter
 from .engine import (ConditionalResult, DetectionPattern, ZeroProbabilityError,
-                     condition, pattern_probability, run_circuit)
+                     condition, herald_probability, pattern_probability,
+                     run_circuit)
 from .fock import enumerate_basis
 
 PRESET_NAMES = ("fig1", "fig2", "fig3", "sec4", "single", "ifm")
@@ -244,9 +245,7 @@ def gated_rates(preset: Preset, bindings=None) -> GatedRates:
     from one evolution of the circuit."""
     psi = run_circuit(preset.circuit, bindings)
     hp = _exact(preset.circuit.modes, dict(preset.circuit.heralds))
-    p_herald = pattern_probability(psi, hp)
-    if p_herald <= 1e-300:
-        raise ZeroProbabilityError("herald pattern has zero probability")
+    p_herald = herald_probability(psi, hp)
     rates = {name: pattern_probability(psi, hp.merged(out.pattern)) * out.weight / p_herald
              for name, out in preset.outcomes if out.pattern is not REST}
     accounted = 0.0

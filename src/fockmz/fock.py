@@ -125,26 +125,28 @@ def inner_product(x: StateVector, y: StateVector) -> complex:
     return complex(np.vdot(x.amplitudes, y.amplitudes))
 
 
-def source_occupation(modes: int, sources) -> tuple:
-    """Occupation vector of sources [(mode, count), ...], each mode at most once."""
-    counts = [0] * modes
+def occupation_errors(modes: int, entries, what: str):
+    """(index, message) for each (mode, count) entry whose mode is out of
+    range or repeated, or whose count is negative."""
     seen = set()
-    for mode, n in sources:
+    for index, (mode, n) in enumerate(entries):
         if not 0 <= mode < modes:
-            raise ValueError(f"source mode {mode} out of range for {modes} modes")
-        if mode in seen:
-            raise ValueError(f"duplicate source mode {mode}")
-        if n < 0:
-            raise ValueError("source photon count must be >= 0")
+            yield index, f"{what} mode {mode} out of range for {modes} modes"
+        elif mode in seen:
+            yield index, f"duplicate {what} mode {mode}"
         seen.add(mode)
-        counts[mode] = n
-    return tuple(counts)
+        if n < 0:
+            yield index, f"{what} photon count must be >= 0"
 
 
 def state_from_sources(modes: int, sources, basis: FockBasis = None) -> StateVector:
-    """Basis state with the given sources, in `basis` if given, else in a
-    newly enumerated basis."""
-    occupation = source_occupation(modes, sources)
+    """Basis state with the given sources [(mode, count), ...], each mode at
+    most once, in `basis` if given, else in a newly enumerated basis."""
+    for _, message in occupation_errors(modes, sources, "source"):
+        raise ValueError(message)
+    occupation = [0] * modes
+    for mode, n in sources:
+        occupation[mode] = n
     if basis is None:
         basis = enumerate_basis(modes, sum(occupation))
     amps = np.zeros(len(basis), dtype=complex)

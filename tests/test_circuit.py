@@ -129,6 +129,18 @@ def test_circuit_validation():
         Circuit(2, ((0, 1),), (), heralds=((1, 0), (1, 1)))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(heralds=((0, 1), (1, 0))), "heralds leave no free mode"),
+    (dict(labels=(("x", 7),)), "label mode 7 out of range for 2 modes"),
+    (dict(labels=(("x", 0), ("x", 1))), "duplicate label 'x'"),
+    (dict(heralds=((0, -1),)), "herald photon count must be >= 0"),
+])
+def test_circuit_rejects_what_the_parser_rejects(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        Circuit(2, ((0, 1),), (), **kwargs)
+    assert str(err.value) == message
+
+
 def test_global_phase_invariance():
     from fockmz.engine import evolve_full
     from fockmz import state_from_sources

@@ -447,6 +447,16 @@ class TestValidate:
                        f"of radians (near '{literal}')\n")
 
 
+    @pytest.mark.parametrize("command", ["run", "scan", "validate"])
+    def test_heralds_on_every_mode_exit_1(self, tmp_path, capsys, command):
+        f = tmp_path / "all.icd"
+        f.write_text("modes 2\nsource 0 1\nbs 0 1\nherald 0 1\nherald 1 0\n")
+        argv = [command, str(f)] if command == "validate" else [command, "--circuit", str(f)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: line 5, column 8: heralds leave no free mode\n"
+
+
 class TestChsh:
     def test_default_settings_maximal(self, capsys):
         code, out, _ = run_cli(capsys, "chsh")

@@ -169,3 +169,25 @@ def test_non_finite_names_are_parameters(word):
 def test_finite_extreme_phase_literals_parse():
     circ = parse("modes 2\nsource 0 1\nphase 0 1e300\nphase 1 -5e-324\n")
     assert circ.elements == (PhaseShifter(0, 1e300), PhaseShifter(1, -5e-324))
+
+
+def test_heralds_covering_every_mode_reported_at_last_herald():
+    errs = errors_of("modes 2\nsource 0 1\nbs 0 1\nherald 0 1\nherald 1 0\n")
+    assert [str(e) for e in errs] == ["line 5, column 8: heralds leave no free mode"]
+
+
+def test_label_rules_match_circuit():
+    errs = errors_of("modes 2\nsource 0 1\nlabel x 7\nlabel x 0\n")
+    assert [(e.line, e.message) for e in errs] == [
+        (3, "label mode 7 out of range for 2 modes"), (4, "duplicate label 'x'")]
+
+
+def test_errors_sorted_by_line_and_column():
+    # lexical errors and circuit-rule errors interleave in file order
+    errs = errors_of("modes 2\nsource 0 -1\nbs 0 x\nmirror 4\nherald q 0\n")
+    assert [(e.line, e.column) for e in errs] == [(2, 8), (3, 6), (4, 8), (5, 8)]
+
+
+def test_zero_modes_reported_once():
+    errs = errors_of("modes 0\nsource 0 1\n")
+    assert [str(e) for e in errs] == ["line 1, column 7: circuit needs at least one mode"]

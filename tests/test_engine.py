@@ -10,6 +10,7 @@ from fockmz import (BeamSplitter, Circuit, Mirror, PhaseShifter,
                     state_from_sources, transition_amplitude)
 from fockmz.engine import DetectionPattern, ZeroProbabilityError, permanent
 from fockmz.fock import StateVector, enumerate_basis
+from tests_helpers_random import random_source_circuit
 
 
 def random_unitary(rng, n):
@@ -240,6 +241,87 @@ class TestPatternsAndConditioning:
         circ = Circuit(3, ((0, 1), (2, 1)), (BeamSplitter(0, 1), BeamSplitter(0, 2)))
         res = condition(run_circuit(circ), [(0, 1)])
         assert res.reduced_state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def per_vector_condition(psi, heralds):
+    """`condition` as a loop over every basis vector, ranking each match in
+    the reduced basis: the reference for the memoised herald path."""
+    basis = psi.basis
+    heralds = tuple((int(m), int(n)) for m, n in heralds)
+    hmodes = [m for m, _ in heralds]
+    if len(set(hmodes)) != len(hmodes):
+        raise ValueError("herald modes must be distinct")
+    hmap = dict(heralds)
+    kept = tuple(m for m in range(basis.modes) if m not in hmap)
+    if not kept:
+        raise ValueError("conditioning must leave at least one free mode")
+    n_left = basis.photons - sum(hmap.values())
+    if n_left < 0:
+        raise ZeroProbabilityError("herald counts exceed total photon number")
+    red_basis = enumerate_basis(len(kept), n_left)
+    red = np.zeros(len(red_basis), dtype=complex)
+    prob = 0.0
+    for idx, v in enumerate(basis.vectors):
+        if all(v[m] == n for m, n in heralds):
+            amp = psi.amplitudes[idx]
+            prob += abs(amp) ** 2
+            red[red_basis.rank(tuple(v[m] for m in kept))] = amp
+    if prob <= 1e-300:
+        raise ZeroProbabilityError("herald pattern has zero probability")
+    return prob, StateVector(red_basis, red / math.sqrt(prob)), kept
+
+
+def outcome(fn, psi, heralds):
+    try:
+        return fn(psi, heralds)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestConditionMatchesPerVectorLoop:
+    def random_states(self, rng):
+        for _ in range(300):
+            circuit = random_source_circuit(rng, max_modes=5, max_photons=4)
+            yield run_circuit(circuit)
+        for _ in range(100):  # arbitrary amplitudes, some exactly zero
+            basis = enumerate_basis(int(rng.integers(2, 6)), int(rng.integers(0, 5)))
+            amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+            amps[rng.random(len(basis)) < 0.3] = 0
+            yield StateVector(basis, amps)
+
+    def test_bit_identical_on_random_states(self):
+        rng = np.random.default_rng(41)
+        conditioned = zero = 0
+        for psi in self.random_states(rng):
+            modes, photons = psi.basis.modes, psi.basis.photons
+            hmodes = rng.choice(modes, size=int(rng.integers(1, modes)), replace=False)
+            heralds = [(int(m), int(rng.integers(0, photons + 2))) for m in hmodes]
+            got = outcome(condition, psi, heralds)
+            want = outcome(per_vector_condition, psi, heralds)
+            if isinstance(want, type):
+                assert got is want
+                zero += 1
+                continue
+            prob, reduced, kept = want
+            assert got.probability == prob
+            assert got.reduced_state.basis == reduced.basis
+            assert np.array_equal(got.reduced_state.amplitudes, reduced.amplitudes)
+            assert got.kept_modes == kept
+            conditioned += 1
+        assert conditioned > 100 and zero > 100
+
+    def test_heralds_above_photon_number_are_zero_probability(self):
+        psi = run_circuit(Circuit(3, ((0, 2), (1, 1)), (BeamSplitter(0, 1),)))
+        for heralds in ([(0, 4)], [(0, 2), (1, 2)], [(2, 3)]):
+            assert outcome(per_vector_condition, psi, heralds) is ZeroProbabilityError
+            with pytest.raises(ZeroProbabilityError):
+                condition(psi, heralds)
+
+    @pytest.mark.parametrize("heralds", [[(0, 1), (0, 1)], [(0, 1), (1, 0), (2, 0)]])
+    def test_invalid_heralds_raise_value_error(self, heralds):
+        psi = run_circuit(Circuit(3, ((0, 1),), (BeamSplitter(0, 1),)))
+        assert outcome(per_vector_condition, psi, heralds) is ValueError
+        assert outcome(condition, psi, heralds) is ValueError
 
 
 def full_scan_probability(psi, pattern):

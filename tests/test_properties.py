@@ -1,13 +1,16 @@
 """Property tests over random circuits: the two engines agree and conserve
-norm, `.icd` text round-trips, and a circuit file's outcomes partition 1."""
+norm, `.icd` text round-trips, a circuit file's outcomes partition 1, and
+the `.icd` parser rejects exactly what `Circuit` rejects."""
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockmz import gated_rates, parse, run_circuit, serialize
+from fockmz import (BeamSplitter, Circuit, DslError, Mirror, PhaseShifter,
+                    gated_rates, parse, run_circuit, serialize)
 from fockmz.experiments import preset_from_circuit
 from tests_helpers_random import random_source_circuit
 
@@ -30,10 +33,59 @@ def test_engines_agree_and_conserve_norm(circuit):
     assert abs(elementwise.norm() - 1) <= TOL
 
 
+NAMES = ("a", "b", "phi", "x_1")
+
+
 @settings(max_examples=200, deadline=None)
-@given(circuits)
-def test_serialize_parse_round_trip(circuit):
+@given(circuits, st.data())
+def test_serialize_parse_round_trip(circuit, data):
+    # distinct label names, each on a mode of the circuit
+    names = data.draw(st.lists(st.sampled_from(NAMES), unique=True))
+    labels = tuple((name, data.draw(st.integers(0, circuit.modes - 1))) for name in names)
+    circuit = dataclasses.replace(circuit, labels=labels)
     assert parse(serialize(circuit)) == circuit
+
+
+@st.composite
+def statements(draw):
+    """`.icd` statements that are lexically valid but may break any circuit
+    rule, with the same parts as Circuit arguments."""
+    modes = draw(st.integers(0, 4))
+    # mostly in range, sometimes one past either end
+    mode = st.sampled_from(list(range(modes)) * 12 + [-1, modes])
+    count = st.sampled_from((0, 1, 1, 2, 3, -1))
+    params = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=2))
+    sources = draw(st.lists(st.tuples(mode, count), max_size=3))
+    elements = draw(st.lists(st.one_of(
+        st.builds(lambda i, j: (f"bs {i} {j}", BeamSplitter(i, j)), mode, mode),
+        st.builds(lambda m, phase: (f"phase {m} {phase}", PhaseShifter(m, phase)),
+                  mode, st.sampled_from(NAMES + (0.0, 1.25, -3.5))),
+        st.builds(lambda m: (f"mirror {m}", Mirror(m)), mode)), max_size=4))
+    heralds = draw(st.lists(st.tuples(mode, count), max_size=3))
+    labels = draw(st.lists(st.tuples(st.sampled_from(NAMES), mode), max_size=3))
+    lines = [f"modes {modes}"]
+    lines += [f"param {p}" for p in params]
+    lines += [f"source {m} {n}" for m, n in sources]
+    lines += [text for text, _ in elements]
+    lines += [f"herald {m} {n}" for m, n in heralds]
+    lines += [f"label {name} {m}" for name, m in labels]
+    return "\n".join(lines) + "\n", dict(
+        modes=modes, sources=tuple(sources), elements=tuple(el for _, el in elements),
+        heralds=tuple(heralds), labels=tuple(labels), params=params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(statements())
+def test_parser_rejects_exactly_what_circuit_rejects(statement_list):
+    text, parts = statement_list
+    try:
+        expected = Circuit(**parts)
+    except ValueError as err:
+        with pytest.raises(DslError) as parsed:
+            parse(text)
+        assert parsed.value.errors[0].message == str(err)
+    else:
+        assert parse(text) == expected
 
 
 @settings(max_examples=100, deadline=None)
