@@ -124,8 +124,14 @@ def cmd_scan(args):
     if args.steps < 32:
         print("error: scan needs at least 32 steps", file=sys.stderr)
         return EXIT_PARSE
+    span = args.stop - args.start
+    # grid points are start + span * k / steps, k < steps
+    if not (math.isfinite(args.start) and math.isfinite(span * args.steps)):
+        print("error: --start and --stop must give a finite range of radians",
+              file=sys.stderr)
+        return EXIT_PARSE
     scan = scan_phase(preset, sweep, args.steps, base=bindings, start=args.start,
-                      span=args.stop - args.start)
+                      span=span)
     names = preset.outcome_names()
     lines = [sweep + "," + ",".join(names)]
     for k, phi in enumerate(scan.grid):
@@ -195,12 +201,14 @@ def cmd_validate(args):
 
 
 def cmd_chsh(args):
-    preset = build_fig2()
-    if args.angles:
-        a, a2, b, b2 = args.angles
-    else:
-        a, a2, b, b2 = CHSH_OPTIMAL_SETTINGS
-    s, table = chsh(preset, a, a2, b, b2)
+    angles = args.angles or CHSH_OPTIMAL_SETTINGS
+    if len(angles) != 4:
+        print("error: chsh needs exactly four angles", file=sys.stderr)
+        return EXIT_PARSE
+    if not all(map(math.isfinite, angles)):
+        print("error: chsh angles must be finite numbers of radians", file=sys.stderr)
+        return EXIT_PARSE
+    s, table = chsh(build_fig2(), *angles)
     for (x, y), e in table.items():
         print(f"E({x}, {y}) = {fmt(e)}")
     print(f"S = {fmt(s)}")
@@ -259,9 +267,6 @@ def build_arg_parser():
 def main(argv=None) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "command", None) == "chsh" and args.angles and len(args.angles) != 4:
-        print("error: chsh needs exactly four angles", file=sys.stderr)
-        return EXIT_PARSE
     try:
         return args.func(args)
     except DslError as exc:

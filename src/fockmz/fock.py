@@ -30,7 +30,8 @@ class FockBasis:
 
     Ordering is descending lexicographic with mode 0 most significant,
     so (2,0) < (1,1) < (0,2) by index. The indices a detection pattern
-    matches are memoised per pattern (`matching`).
+    matches are memoised per pattern (`matching`); a pattern that fixes
+    every mode is looked up by rank, not matched against every vector.
     """
 
     modes: int
@@ -68,8 +69,12 @@ class FockBasis:
     def matching(self, pattern) -> tuple:
         """Ascending indices of the vectors a (hashable) pattern matches."""
         if pattern not in self._matches:
-            self._matches[pattern] = tuple(
-                i for i, v in enumerate(self.vectors) if pattern.matches(v))
+            if None in pattern.constraints:
+                found = tuple(i for i, v in enumerate(self.vectors) if pattern.matches(v))
+            else:  # a pattern that fixes every mode names at most one vector
+                i = self._index.get(pattern.constraints)
+                found = () if i is None else (i,)
+            self._matches[pattern] = found
         return self._matches[pattern]
 
 

@@ -312,6 +312,14 @@ class TestScan:
                              "--param", "phi", "--steps", "8")
         assert code == 1
 
+    @pytest.mark.parametrize("bound", [("--stop", "inf"), ("--start", "nan"),
+                                       ("--start=-inf",), ("--stop=1e308",)])
+    def test_non_finite_range_exit_1(self, capsys, bound):
+        # 1e308 is finite, but the grid point 63/64 of the way there is not
+        code, out, err = run_cli(capsys, "scan", "--preset", "single", *bound)
+        assert (code, out) == (1, "")
+        assert err == "error: --start and --stop must give a finite range of radians\n"
+
     def test_scan_fig2_fixed_second_phase(self, tmp_path, capsys):
         out_file = tmp_path / "fig2.csv"
         code, _, _ = run_cli(capsys, "scan", "--preset", "fig2",
@@ -480,3 +488,10 @@ class TestChsh:
     def test_wrong_arity(self, capsys):
         code, _, _ = run_cli(capsys, "chsh", "0.1", "0.2")
         assert code == 1
+
+    @pytest.mark.parametrize("angles", [("nan", "0", "0", "0"), ("0", "inf", "0", "0"),
+                                        ("0", "0", "0", "-inf")])
+    def test_non_finite_angle_exit_1(self, capsys, angles):
+        code, out, err = run_cli(capsys, "chsh", "--", *angles)
+        assert (code, out) == (1, "")
+        assert err == "error: chsh angles must be finite numbers of radians\n"

@@ -191,3 +191,20 @@ def test_errors_sorted_by_line_and_column():
 def test_zero_modes_reported_once():
     errs = errors_of("modes 0\nsource 0 1\n")
     assert [str(e) for e in errs] == ["line 1, column 7: circuit needs at least one mode"]
+
+
+def test_token_errors_at_their_own_column():
+    # each bad token also occurs earlier in its line, inside the keyword
+    errs = errors_of("modes 2\nparam p\nparam p\nsource 0 1\nphase 0 1.2.3\n"
+                     "mirror r\nherald e 0\n")
+    assert [(e.line, e.column, e.token) for e in errs] == [
+        (3, 7, "p"), (5, 9, "1.2.3"), (6, 8, "r"), (7, 8, "e")]
+
+
+def test_every_bad_argument_reported():
+    errs = errors_of("modes 2\nsource 0 1\nphase x 1.2.3\nlabel 9a b\n")
+    assert [(e.line, e.column, e.message) for e in errs] == [
+        (3, 7, "mode must be an integer"),
+        (3, 9, "phase must be a number or a declared parameter"),
+        (4, 7, "invalid label name"),
+        (4, 10, "label mode must be an integer")]

@@ -283,3 +283,31 @@ class TestScansAndFits:
         preset = Preset("bad", circ, (("all", Outcome(REST)),))
         with pytest.raises(ZeroProbabilityError):
             gated_rates(preset)
+
+
+class TestCircuitFileRates:
+    @pytest.mark.parametrize("heralds", [(), ((4, 0),), ((1, 1),)])
+    def test_full_patterns_are_not_scanned(self, monkeypatch, heralds):
+        # every outcome pattern, merged with the herald, fixes every mode, so
+        # the basis is scanned once: for the herald pattern, which does not
+        from fockmz import BeamSplitter, Circuit, PhaseShifter
+        from fockmz.engine import condition
+        from fockmz.experiments import preset_from_circuit
+        elements = tuple(BeamSplitter(i, (i + 1) % 5) for i in range(5)) + tuple(
+            PhaseShifter(m, 0.3 * m) for m in range(5)) + tuple(
+            BeamSplitter(i, (i + 2) % 5) for i in range(5))
+        circuit = Circuit(5, ((0, 2), (2, 1)), elements, heralds=heralds)
+        calls = []
+        real = DetectionPattern.matches
+
+        def counted(self, occ):
+            calls.append(occ)
+            return real(self, occ)
+
+        monkeypatch.setattr(DetectionPattern, "matches", counted)
+        rates = gated_rates(preset_from_circuit(circuit))
+        assert len(calls) == len(circuit.basis)
+        # the reduced state's probabilities, one per outcome, in the same order
+        reduced = condition(run_circuit(circuit), heralds).reduced_state
+        assert list(rates.values()) == pytest.approx(
+            np.abs(reduced.amplitudes) ** 2, abs=1e-15)

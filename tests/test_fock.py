@@ -143,3 +143,13 @@ def test_largest_allowed_dimension_is_the_limit():
     assert check_basis_size(MAX_BASIS_DIM, 1) == MAX_BASIS_DIM
     with pytest.raises(BasisTooLargeError):
         check_basis_size(MAX_BASIS_DIM + 1, 1)
+
+
+def test_full_patterns_match_by_rank():
+    from fockmz import DetectionPattern
+    basis = enumerate_basis(3, 2)
+    # each vector, then a wrong photon number and a contradictory (-1) count
+    for v in basis.vectors + ((1, 0, 0), (3, 0, -1)):
+        expected = tuple(i for i, w in enumerate(basis.vectors) if w == v)
+        assert basis.matching(DetectionPattern(v)) == expected
+    assert basis.matching(DetectionPattern((None, 0, None))) == (0, 2, 5)

@@ -1,6 +1,7 @@
 """Property tests over random circuits: the two engines agree and conserve
-norm, `.icd` text round-trips, a circuit file's outcomes partition 1, and
-the `.icd` parser rejects exactly what `Circuit` rejects."""
+norm, `.icd` text round-trips, a circuit file's outcomes partition 1, the
+`.icd` parser rejects exactly what `Circuit` rejects, and each of its
+errors points at its own token."""
 
 import dataclasses
 
@@ -100,3 +101,40 @@ def test_circuit_file_outcomes_sum_to_one(circuit, seed):
     rates = gated_rates(preset_from_circuit(parse(serialize(heralded))))
     assert rates.herald_probability > 0
     assert abs(sum(rates.values()) - 1) <= TOL
+
+
+KEYWORDS = ("modes", "param", "source", "bs", "phase", "mirror", "herald", "label")
+
+
+@st.composite
+def spaced_statements(draw):
+    """`.icd` lines with random spaces and tabs between tokens, in any order,
+    whose arguments are often pieces of their own keyword (`mirror r`)."""
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        keyword = draw(st.sampled_from(KEYWORDS))
+        pieces = [keyword[i:j] for i in range(len(keyword))
+                  for j in range(i + 1, len(keyword) + 1)]
+        arg = st.sampled_from(pieces + ["0", "1", "-1", "1.5", "1.2.3", "1e400", "x"])
+        toks = [keyword] + draw(st.lists(arg, max_size=3))
+        gaps = draw(st.lists(st.text(" \t", min_size=1, max_size=3),
+                             min_size=len(toks), max_size=len(toks)))
+        lines.append("".join(t + g for t, g in zip(toks, gaps)))
+    if draw(st.booleans()):
+        lines.insert(0, "modes 2")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaced_statements())
+def test_errors_point_at_their_token(text):
+    try:
+        parse(text)
+    except DslError as err:
+        errors = err.errors
+    else:
+        return
+    lines = text.split("\n")
+    for e in errors:
+        if e.token:
+            assert lines[e.line - 1][e.column - 1:].startswith(e.token), e
