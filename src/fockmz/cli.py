@@ -1,7 +1,9 @@
 """Command-line front end: run, scan, fit, validate, chsh.
 
-Exit codes are stable API: 0 ok, 1 parse/validate (and a basis above the
-size limit), 2 unbound parameter, 3 zero-probability herald, 4 I/O.
+Commands raise; `main` alone prints `error: ...` lines and picks the exit
+code. Exit codes are stable API: 0 ok, 1 parse/validate (and a basis above
+the size limit), 2 unbound parameter (and argparse usage errors), 3
+zero-probability herald, 4 I/O.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from .circuit import UnboundParameterError, compose, check_unitary
 from .dsl import DslError, parse, serialize
 # run_circuit is unused here but stays importable: bench/test_bench.py hooks it
 from .engine import ZeroProbabilityError, run_circuit  # noqa: F401
-from .experiments import (CHSH_OPTIMAL_SETTINGS, PRESET_NAMES, build_fig2,
-                          build_preset, chsh, fit_fringe, gated_rates,
-                          preset_from_circuit, scan_phase)
+from .experiments import (CHSH_OPTIMAL_SETTINGS, MODEL_PRESETS, PRESET_NAMES,
+                          build_fig2, build_preset, chsh, fit_fringe,
+                          gated_rates, preset_from_circuit, scan_phase)
 from .fock import BasisTooLargeError, check_basis_size
 
 EXIT_OK = 0
@@ -27,6 +29,19 @@ EXIT_PARSE = 1
 EXIT_UNBOUND = 2
 EXIT_ZERO_PROB = 3
 EXIT_IO = 4
+
+# the exit code of each library error; a CliError carries its own
+_EXIT_CODES = {DslError: EXIT_PARSE, BasisTooLargeError: EXIT_PARSE,
+               UnboundParameterError: EXIT_UNBOUND,
+               ZeroProbabilityError: EXIT_ZERO_PROB}
+
+
+class CliError(Exception):
+    """A failure the CLI finds itself, with the exit code it ends in."""
+
+    def __init__(self, message, code=EXIT_PARSE):
+        super().__init__(message)
+        self.code = code
 
 
 def fmt(x: float) -> str:
@@ -37,34 +52,39 @@ def fmt(x: float) -> str:
     return format(decimal.Decimal(f"{x:.11e}"), "f")
 
 
-def _parse_bindings(pairs):
-    bindings = {}
-    sweep = None
-    for item in pairs or ():
-        if "=" in item:
-            name, _, value = item.partition("=")
-            try:
-                phi = float(value)
-            except ValueError:
-                phi = math.nan
-            if not math.isfinite(phi):
-                print(f"error: --param {item}: phase must be a finite number "
-                      f"of radians", file=sys.stderr)
-                raise SystemExit(EXIT_PARSE)
-            bindings[name.strip()] = phi
-        else:
+def _bind(args, circuit, swept=False):
+    """The --param values by name and, for a scan, the swept parameter; every
+    other parameter of the circuit must be bound."""
+    bindings, sweep = {}, None
+    for item in args.param or ():
+        name, eq, value = item.partition("=")
+        if not eq:
             sweep = item.strip()
+            continue
+        try:
+            phi = float(value)
+        except ValueError:
+            phi = math.nan
+        if not math.isfinite(phi):
+            raise CliError(f"--param {item}: phase must be a finite number of radians")
+        bindings[name.strip()] = phi
+    free = sorted(p for p in circuit.params if p not in bindings)
+    if swept and sweep is None:
+        if len(free) != 1:
+            raise CliError("specify the swept parameter with --param NAME", EXIT_UNBOUND)
+        sweep = free[0]
+    missing = [p for p in free if not (swept and p == sweep)]
+    if missing:
+        raise CliError(f"unbound parameter '{missing[0]}'", EXIT_UNBOUND)
     return bindings, sweep
 
 
-def _read_circuit(path):
+def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-    return parse(text)
+        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
 
 
 def _write(path, text):
@@ -72,27 +92,24 @@ def _write(path, text):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
 
 
 def _load(args):
     """The preset, or a circuit file as a preset with reduced-basis outcomes."""
+    if args.model != "resolving" and args.preset not in MODEL_PRESETS:
+        raise CliError(f"--model {args.model} applies only to the "
+                       f"{' and '.join(MODEL_PRESETS)} presets")
     if args.preset:
         return build_preset(args.preset, model=args.model)
-    return preset_from_circuit(_read_circuit(args.circuit))
+    return preset_from_circuit(parse(_read(args.circuit)))
 
 
 def cmd_run(args):
     preset = _load(args)
-    if args.emit_icd and args.preset:
+    if args.emit_icd:
         _write(args.emit_icd, serialize(preset.circuit))
-    bindings = _parse_bindings(args.param)[0]
-    missing = sorted(p for p in preset.circuit.params if p not in bindings)
-    if missing:
-        print(f"error: unbound parameter '{missing[0]}'", file=sys.stderr)
-        return EXIT_UNBOUND
-    rates = gated_rates(preset, bindings)
+    rates = gated_rates(preset, _bind(args, preset.circuit)[0])
     hp = rates.herald_probability
     if args.format == "csv":
         print("outcome,probability")
@@ -104,32 +121,17 @@ def cmd_run(args):
         width = max(len(n) for n in rates)
         for name, p in rates.items():
             print(f"  {name:<{width}}  {fmt(p)}")
-    return EXIT_OK
 
 
 def cmd_scan(args):
     preset = _load(args)
-    circuit = preset.circuit
-    bindings, sweep = _parse_bindings(args.param)
-    if sweep is None:
-        candidates = sorted(p for p in circuit.params if p not in bindings)
-        if len(candidates) != 1:
-            print("error: specify the swept parameter with --param NAME", file=sys.stderr)
-            return EXIT_UNBOUND
-        sweep = candidates[0]
-    missing = sorted(p for p in circuit.params if p not in bindings and p != sweep)
-    if missing:
-        print(f"error: unbound parameter '{missing[0]}'", file=sys.stderr)
-        return EXIT_UNBOUND
+    bindings, sweep = _bind(args, preset.circuit, swept=True)
     if args.steps < 32:
-        print("error: scan needs at least 32 steps", file=sys.stderr)
-        return EXIT_PARSE
+        raise CliError("scan needs at least 32 steps")
     span = args.stop - args.start
     # grid points are start + span * k / steps, k < steps
     if not (math.isfinite(args.start) and math.isfinite(span * args.steps)):
-        print("error: --start and --stop must give a finite range of radians",
-              file=sys.stderr)
-        return EXIT_PARSE
+        raise CliError("--start and --stop must give a finite range of radians")
     scan = scan_phase(preset, sweep, args.steps, base=bindings, start=args.start,
                       span=span)
     names = preset.outcome_names()
@@ -141,35 +143,24 @@ def cmd_scan(args):
         _write(args.out, text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
 
 
 def cmd_fit(args):
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            rows = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    rows = [line.strip() for line in _read(args.input).split("\n") if line.strip()]
     if not rows:
-        print(f"error: {args.input} is empty", file=sys.stderr)
-        return EXIT_PARSE
+        raise CliError(f"{args.input} is empty")
     header = rows[0].split(",")
     if args.column not in header:
-        print(f"error: column '{args.column}' not in {args.input}", file=sys.stderr)
-        return EXIT_PARSE
+        raise CliError(f"column '{args.column}' not in {args.input}")
     col = header.index(args.column)
     try:
         grid = np.array([float(r.split(",")[0]) for r in rows[1:]])
         y = np.array([float(r.split(",")[col]) for r in rows[1:]])
     except (ValueError, IndexError):
-        print(f"error: {args.input} has a missing or non-numeric cell",
-              file=sys.stderr)
-        return EXIT_PARSE
+        raise CliError(f"{args.input} has a missing or non-numeric cell") from None
     steps = np.diff(grid)
     if len(grid) < 32 or np.max(np.abs(steps - steps[0])) > 1e-9:
-        print("error: fit needs a uniform grid with at least 32 samples", file=sys.stderr)
-        return EXIT_PARSE
+        raise CliError("fit needs a uniform grid with at least 32 samples")
     fit = fit_fringe(y)
     if fit.harmonic is None:
         print("no dominant harmonic")
@@ -182,37 +173,30 @@ def cmd_fit(args):
         print(f"phase      {fmt(fit.phase)}")
         print(f"visibility {fmt(fit.visibility)}")
         print(f"residual   {fmt(fit.residual)}")
-    return EXIT_OK
 
 
 def cmd_validate(args):
-    circuit = _read_circuit(args.file)
+    circuit = parse(_read(args.file))
     # phases never affect unitarity, so unbound parameters check fine at 0
     U = compose(circuit, {p: 0.0 for p in circuit.params})
     ok, dev = check_unitary(U, 1e-9 * circuit.modes)
     if not ok:
-        print(f"error: composed matrix is not unitary (deviation {dev:.3e})",
-              file=sys.stderr)
-        return EXIT_PARSE
+        raise CliError(f"composed matrix is not unitary (deviation {dev:.3e})")
     check_basis_size(circuit.modes, circuit.photons)
     print(f"OK: {circuit.modes} modes, {circuit.photons} photons, "
           f"{len(circuit.elements)} elements")
-    return EXIT_OK
 
 
 def cmd_chsh(args):
     angles = args.angles or CHSH_OPTIMAL_SETTINGS
     if len(angles) != 4:
-        print("error: chsh needs exactly four angles", file=sys.stderr)
-        return EXIT_PARSE
+        raise CliError("chsh needs exactly four angles")
     if not all(map(math.isfinite, angles)):
-        print("error: chsh angles must be finite numbers of radians", file=sys.stderr)
-        return EXIT_PARSE
+        raise CliError("chsh angles must be finite numbers of radians")
     s, table = chsh(build_fig2(), *angles)
     for (x, y), e in table.items():
         print(f"E({x}, {y}) = {fmt(e)}")
     print(f"S = {fmt(s)}")
-    return EXIT_OK
 
 
 def _add_circuit_args(sub):
@@ -226,8 +210,20 @@ def _add_circuit_args(sub):
                           "selects the swept parameter for scan")
 
 
+class _ArgParser(argparse.ArgumentParser):
+    """Reads every token that float() accepts (-1e-3, -5., -inf) as a value;
+    argparse itself takes only -1 and -1.5 for negative numbers."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_arg_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgParser(
         prog="fockmz",
         description="Exact post-selected multi-photon interferometer simulator.")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -265,25 +261,14 @@ def build_arg_parser():
 
 
 def main(argv=None) -> int:
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    args = build_arg_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except DslError as exc:
-        for err in exc.errors:
-            print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnboundParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNBOUND
-    except ZeroProbabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ZERO_PROB
-    except BasisTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args.func(args)
+    except (CliError, *_EXIT_CODES) as exc:
+        for line in str(exc).split("\n"):
+            print(f"error: {line}", file=sys.stderr)
+        return exc.code if isinstance(exc, CliError) else _EXIT_CODES[type(exc)]
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -216,20 +216,19 @@ def build_ifm() -> Preset:
     return Preset("ifm", circ, outcomes)
 
 
-_BUILDERS = {
-    "fig1": build_fig1,
-    "fig2": lambda model="resolving": build_fig2(),
-    "fig3": build_fig3,
-    "sec4": lambda model="resolving": build_sec4(),
-    "single": lambda model="resolving": build_single(),
-    "ifm": lambda model="resolving": build_ifm(),
-}
+_BUILDERS = {"fig1": build_fig1, "fig2": build_fig2, "fig3": build_fig3,
+             "sec4": build_sec4, "single": build_single, "ifm": build_ifm}
+MODEL_PRESETS = ("fig1", "fig3")  # the others have resolving detectors only
 
 
 def build_preset(name: str, model: str = "resolving") -> Preset:
     if name not in _BUILDERS:
         raise ValueError(f"unknown preset '{name}' (choose from {', '.join(PRESET_NAMES)})")
-    return _BUILDERS[name](model=model)
+    if name in MODEL_PRESETS:
+        return _BUILDERS[name](model)
+    if model != "resolving":
+        raise ValueError(f"preset '{name}' has no '{model}' detector model")
+    return _BUILDERS[name]()
 
 
 class GatedRates(dict):

@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 import fockmz
 from fockmz import cli, engine, experiments, fock
 from fockmz.cli import fmt, main
+from fockmz.dsl import parse
 
 MZ_TEXT = """\
 modes 2
@@ -313,7 +318,8 @@ class TestScan:
         assert code == 1
 
     @pytest.mark.parametrize("bound", [("--stop", "inf"), ("--start", "nan"),
-                                       ("--start=-inf",), ("--stop=1e308",)])
+                                       ("--start=-inf",), ("--stop=1e308",),
+                                       ("--start", "-inf")])
     def test_non_finite_range_exit_1(self, capsys, bound):
         # 1e308 is finite, but the grid point 63/64 of the way there is not
         code, out, err = run_cli(capsys, "scan", "--preset", "single", *bound)
@@ -495,3 +501,88 @@ class TestChsh:
         code, out, err = run_cli(capsys, "chsh", "--", *angles)
         assert (code, out) == (1, "")
         assert err == "error: chsh angles must be finite numbers of radians\n"
+
+
+class TestErrorSites:
+    """Exit code, exact stderr line and empty stdout of each CLI error site."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("scan", "--preset", "fig2"), 2,
+         "specify the swept parameter with --param NAME"),
+        (("scan", "--preset", "fig2", "--param", "phi1"), 2,
+         "unbound parameter 'phi2'"),
+        (("chsh", "0.1", "0.2", "0.3"), 1, "chsh needs exactly four angles"),
+        (("chsh", "0", "0", "0", "-inf"), 1,
+         "chsh angles must be finite numbers of radians"),
+    ])
+    def test_error_line(self, capsys, argv, code, message):
+        assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, verb", [
+        (("scan", "--preset", "single", "--param", "phi", "--out", "{missing}"), "write"),
+        (("run", "--preset", "single", "--param", "phi=0", "--emit-icd", "{missing}"),
+         "write"),
+        (("fit", "{missing}", "P1"), "read"),
+        (("validate", "{missing}"), "read"),
+        (("run", "--circuit", "{missing}"), "read"),
+    ])
+    def test_io_error_exit_4(self, tmp_path, capsys, argv, verb):
+        missing = str(tmp_path / "no-such-dir" / "file")
+        argv = [a.replace("{missing}", missing) for a in argv]
+        assert run_cli(capsys, *argv) == (
+            4, "", f"error: cannot {verb} {missing}: [Errno 2] No such file or "
+                   f"directory: '{missing}'\n")
+
+    @pytest.mark.parametrize("argv, same_as", [
+        (("chsh", "0", "0", "0", "-1e-3"), ("chsh", "--", "0", "0", "0", "-1e-3")),
+        (("chsh", "-5.", "0", "-.5", "0"), ("chsh", "--", "-5.", "0", "-.5", "0")),
+        (("scan", "--preset", "single", "--start", "-1e-3", "--stop", "-5."),
+         ("scan", "--preset", "single", "--start=-1e-3", "--stop=-5.")),
+    ])
+    def test_negative_numbers_in_any_notation(self, capsys, argv, same_as):
+        expected = run_cli(capsys, *same_as)
+        assert expected[0] == 0
+        assert run_cli(capsys, *argv) == expected
+
+
+class TestModelAndEmit:
+    @pytest.mark.parametrize("source", ["fig2", "sec4", "single", "ifm", "circuit"])
+    def test_cascade_model_refused_exit_1(self, tmp_path, capsys, source):
+        f = tmp_path / "mz.icd"
+        f.write_text(MZ_TEXT)
+        where = ("--circuit", str(f)) if source == "circuit" else ("--preset", source)
+        assert run_cli(capsys, "run", *where, "--model", "cascade",
+                       "--param", "phi=0") == (
+            1, "", "error: --model cascade applies only to the fig1 and fig3 presets\n")
+
+    @pytest.mark.parametrize("text", [MZ_TEXT, HERALDED_TEXT, UNHERALDED_TEXT],
+                             ids=["mz", "heralded", "unheralded"])
+    def test_emit_icd_for_circuit_file(self, tmp_path, capsys, text):
+        src, emitted = tmp_path / "c.icd", tmp_path / "emitted.icd"
+        src.write_text(text)
+        code, _, _ = run_cli(capsys, "run", "--circuit", str(src), "--param", "phi=0.7",
+                             "--emit-icd", str(emitted))
+        assert code == 0
+        assert parse(emitted.read_text()) == parse(text)
+
+
+@pytest.mark.parametrize("argv, code, stderr_start", [
+    (["chsh"], 0, ""),
+    (["chsh", "0.1", "0.2"], 1, "error: chsh needs exactly four angles\n"),
+    (["run", "--preset", "single"], 2, "error: unbound parameter 'phi'\n"),
+    (["run", "--circuit", "{zero}"], 3, "error: herald pattern has zero probability\n"),
+    (["validate", "{missing}"], 4, "error: cannot read "),
+    (["frobnicate"], 2, "usage: fockmz "),
+])
+def test_exit_code_across_process_boundary(tmp_path, argv, code, stderr_start):
+    zero = tmp_path / "zero.icd"
+    zero.write_text("modes 2\nsource 0 2\nherald 1 3\n")
+    argv = [a.format(zero=zero, missing=tmp_path / "missing.icd") for a in argv]
+    src = str(Path(fockmz.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "fockmz.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(stderr_start)
+    assert (proc.stdout == "") == (code != 0)

@@ -276,6 +276,12 @@ class TestScansAndFits:
             assert sum(gated_rates(preset, bindings).values()) == \
                 pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["fig2", "sec4", "single", "ifm"])
+    def test_cascade_model_only_for_fig1_and_fig3(self, name):
+        assert build_preset(name, "resolving").model == ""
+        with pytest.raises(ValueError, match=f"preset '{name}' has no 'cascade'"):
+            build_preset(name, "cascade")
+
     def test_zero_probability_herald_raises(self):
         from fockmz import Circuit, BeamSplitter
         from fockmz.experiments import Outcome, Preset, REST, _exact
