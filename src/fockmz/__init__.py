@@ -1,8 +1,7 @@
 """Exact simulator for post-selected multi-photon linear-optical interferometers."""
 
 from .circuit import (BeamSplitter, Circuit, Mirror, PhaseShifter,
-                      UnboundParameterError, beam_splitter_unitary,
-                      check_unitary, compose, mirror_unitary, phase_unitary)
+                      UnboundParameterError, check_unitary, compose)
 from .dsl import DslError, ParseError, parse, serialize
 from .engine import (ConditionalResult, DetectionPattern, ZeroProbabilityError,
                      condition, evolve_elementwise, evolve_full,

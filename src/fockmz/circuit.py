@@ -44,9 +44,6 @@ class Mirror:
     mode: int
 
 
-Element = (BeamSplitter, PhaseShifter, Mirror)
-
-
 def resolve_phase(phase, bindings) -> float:
     if isinstance(phase, str):
         if bindings is None or phase not in bindings:
@@ -131,50 +128,21 @@ class Circuit:
         return enumerate_basis(self.modes, self.photons)
 
 
-def beam_splitter_unitary(M: int, i: int, j: int) -> np.ndarray:
-    if i == j:
-        raise ValueError("beam splitter modes must be distinct")
-    if not (0 <= i < M and 0 <= j < M):
-        raise ValueError("beam splitter mode out of range")
-    U = np.eye(M, dtype=complex)
-    U[i, i] = U[j, j] = INV_SQRT2
-    U[i, j] = U[j, i] = 1j * INV_SQRT2
-    return U
-
-
-def phase_unitary(M: int, m: int, phi: float) -> np.ndarray:
-    if not 0 <= m < M:
-        raise ValueError("phase shifter mode out of range")
-    if not np.isfinite(phi):
-        raise ValueError("phase angle must be finite")
-    U = np.eye(M, dtype=complex)
-    U[m, m] = np.exp(1j * phi)
-    return U
-
-
-def mirror_unitary(M: int, m: int) -> np.ndarray:
-    if not 0 <= m < M:
-        raise ValueError("mirror mode out of range")
-    U = np.eye(M, dtype=complex)
-    U[m, m] = 1j
-    return U
-
-
-def element_unitary(el, M: int, bindings=None) -> np.ndarray:
-    if isinstance(el, BeamSplitter):
-        return beam_splitter_unitary(M, el.i, el.j)
-    if isinstance(el, PhaseShifter):
-        return phase_unitary(M, el.mode, resolve_phase(el.phase, bindings))
-    if isinstance(el, Mirror):
-        return mirror_unitary(M, el.mode)
-    raise TypeError(f"unknown element {el!r}")
-
-
 def compose(circuit: Circuit, bindings=None) -> np.ndarray:
-    """Total mode unitary U_k ... U_2 U_1 (first element applied first)."""
+    """Total mode unitary U_k ... U_2 U_1 (first element applied first).
+
+    Each element rewrites only the rows of the modes it acts on.
+    """
     U = np.eye(circuit.modes, dtype=complex)
     for el in circuit.elements:
-        U = element_unitary(el, circuit.modes, bindings) @ U
+        if isinstance(el, BeamSplitter):
+            row_i = U[el.i].copy()
+            U[el.i] = (row_i + 1j * U[el.j]) * INV_SQRT2
+            U[el.j] = (1j * row_i + U[el.j]) * INV_SQRT2
+        elif isinstance(el, PhaseShifter):
+            U[el.mode] *= np.exp(1j * resolve_phase(el.phase, bindings))
+        else:  # Mirror
+            U[el.mode] *= 1j
     return U
 
 

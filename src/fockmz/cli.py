@@ -53,13 +53,16 @@ def fmt(x: float) -> str:
 
 
 def _bind(args, circuit, swept=False):
-    """The --param values by name and, for a scan, the swept parameter; every
-    other parameter of the circuit must be bound."""
+    """The --param values by name and, for a scan, the swept parameter; each
+    name must be one the circuit declares, and each of those must be bound."""
     bindings, sweep = {}, None
     for item in args.param or ():
         name, eq, value = item.partition("=")
+        name = name.strip()
+        if name not in circuit.params:
+            raise CliError(f"unknown parameter '{name}'")
         if not eq:
-            sweep = item.strip()
+            sweep = name
             continue
         try:
             phi = float(value)
@@ -67,7 +70,7 @@ def _bind(args, circuit, swept=False):
             phi = math.nan
         if not math.isfinite(phi):
             raise CliError(f"--param {item}: phase must be a finite number of radians")
-        bindings[name.strip()] = phi
+        bindings[name] = phi
     free = sorted(p for p in circuit.params if p not in bindings)
     if swept and sweep is None:
         if len(free) != 1:
@@ -83,7 +86,7 @@ def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
 
 
@@ -158,6 +161,8 @@ def cmd_fit(args):
         y = np.array([float(r.split(",")[col]) for r in rows[1:]])
     except (ValueError, IndexError):
         raise CliError(f"{args.input} has a missing or non-numeric cell") from None
+    if not (np.isfinite(grid).all() and np.isfinite(y).all()):
+        raise CliError(f"{args.input} has a non-finite cell")
     steps = np.diff(grid)
     if len(grid) < 32 or np.max(np.abs(steps - steps[0])) > 1e-9:
         raise CliError("fit needs a uniform grid with at least 32 samples")

@@ -186,10 +186,8 @@ def serialize(circuit: Circuit) -> str:
             lines.append(f"bs {el.i} {el.j}")
         elif isinstance(el, PhaseShifter):
             lines.append(f"phase {el.mode} {_fmt_phase(el.phase)}")
-        elif isinstance(el, Mirror):
+        else:  # Mirror
             lines.append(f"mirror {el.mode}")
-        else:
-            raise TypeError(f"unknown element {el!r}")
     for mode, count in circuit.heralds:
         lines.append(f"herald {mode} {count}")
     for name, mode in sorted(circuit.labels):

@@ -12,7 +12,8 @@ Two independent engines are provided on purpose:
 
 They are each other's oracle: the paper-level claims here are exact
 interference cancellations, so bugs must not be self-confirming. The
-permutation-sum `permanent_naive` is in turn the oracle for the Ryser kernel.
+permutation-sum `permanent_naive` is in turn the tests' oracle for the Ryser
+kernel; nothing else calls it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (BeamSplitter, Circuit, Mirror, PhaseShifter,
-                      circuit_errors, compose, resolve_phase)
+from .circuit import (Circuit, Mirror, PhaseShifter, circuit_errors, compose,
+                      resolve_phase)
 from .fock import StateVector, enumerate_basis, state_from_sources
 
 PHOTON_LIMIT = 6  # default cap for permanent-based evolution
@@ -92,26 +93,19 @@ def _check_square(A) -> int:
 
 def permanent_ryser(A) -> complex:
     """Ryser inclusion-exclusion permanent of one square matrix."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2:
+    if np.ndim(A) != 2:
         raise ValueError("permanent needs a square matrix")
-    _check_square(A)
-    return complex(_ryser_stack(A[None])[0])
+    return permanent(A)
 
 
 def permanent(A):
     """Permanent of a square matrix, or the array of permanents of a
-    (..., n, n) stack.
-
-    A single matrix goes to the naive permutation sum up to 4x4 and to Ryser
-    above; a stack goes through one batched Ryser pass.
-    """
+    (..., n, n) stack; every shape goes through one batched Ryser pass."""
     A = np.asarray(A, dtype=complex)
     n = _check_square(A)
-    if A.ndim == 2:
-        return permanent_ryser(A) if n > 4 else permanent_naive(A)
     batch = A.shape[:-2]
-    return _ryser_stack(A.reshape(math.prod(batch), n, n)).reshape(batch)
+    perms = _ryser_stack(A.reshape(math.prod(batch), n, n))
+    return complex(perms[0]) if A.ndim == 2 else perms.reshape(batch)
 
 
 def _expand_indices(occ):
@@ -214,10 +208,8 @@ def evolve_elementwise(circuit: Circuit, bindings, psi: StateVector) -> StateVec
             amps = _apply_phase_diag(basis, amps, el.mode, np.exp(1j * phi))
         elif isinstance(el, Mirror):
             amps = _apply_phase_diag(basis, amps, el.mode, 1j)
-        elif isinstance(el, BeamSplitter):
+        else:  # BeamSplitter
             amps = _apply_beam_splitter(basis, amps, el.i, el.j)
-        else:
-            raise TypeError(f"unknown element {el!r}")
     return StateVector(basis, amps)
 
 

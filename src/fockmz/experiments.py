@@ -34,9 +34,8 @@ from .engine import (ConditionalResult, DetectionPattern, ZeroProbabilityError,
                      run_circuit)
 from .fock import enumerate_basis
 
-PRESET_NAMES = ("fig1", "fig2", "fig3", "sec4", "single", "ifm")
-
 REST = None  # sentinel pattern: complement of the other reported outcomes
+FLAT_TOL = 1e-9  # harmonics at or below this, relative to max(1, |c0|), read as flat
 
 
 @dataclass(frozen=True)
@@ -57,10 +56,6 @@ class Preset:
         return tuple(name for name, _ in self.outcomes)
 
 
-def _bs(i, j):
-    return BeamSplitter(i, j)
-
-
 def _exact(modes, counts):
     return DetectionPattern.exactly(modes, counts)
 
@@ -69,7 +64,8 @@ def build_single() -> Preset:
     circ = Circuit(
         modes=2,
         sources=((0, 1),),
-        elements=(_bs(0, 1), Mirror(0), Mirror(1), PhaseShifter(0, "phi"), _bs(0, 1)),
+        elements=(BeamSplitter(0, 1), Mirror(0), Mirror(1), PhaseShifter(0, "phi"),
+                  BeamSplitter(0, 1)),
         labels=(("a", 0), ("port2", 0), ("port1", 1)),
         params={"phi"},
     )
@@ -84,7 +80,8 @@ def build_sec4() -> Preset:
     circ = Circuit(
         modes=2,
         sources=((0, 2),),
-        elements=(_bs(0, 1), Mirror(0), Mirror(1), PhaseShifter(0, "phi"), _bs(0, 1)),
+        elements=(BeamSplitter(0, 1), Mirror(0), Mirror(1), PhaseShifter(0, "phi"),
+                  BeamSplitter(0, 1)),
         labels=(("a", 0), ("port2", 0), ("port1", 1)),
         params={"phi"},
     )
@@ -97,9 +94,10 @@ def build_sec4() -> Preset:
     return Preset("sec4", circ, outcomes)
 
 
-def _fig1_front(modes):
+def _fig1_front():
     # H1 on (a, vac); H2 on (b, d); H3 on (c, vac); phase on e; H4 on (e, f)
-    return (_bs(0, 1), _bs(0, 2), _bs(1, 3), PhaseShifter(2, "phi"), _bs(2, 3))
+    return (BeamSplitter(0, 1), BeamSplitter(0, 2), BeamSplitter(1, 3),
+            PhaseShifter(2, "phi"), BeamSplitter(2, 3))
 
 
 def build_fig1(model: str = "resolving") -> Preset:
@@ -107,7 +105,7 @@ def build_fig1(model: str = "resolving") -> Preset:
         raise ValueError(f"unknown fig1 detector model '{model}'")
     if model == "resolving":
         modes = 4
-        elements = _fig1_front(modes)
+        elements = _fig1_front()
         outcomes = (
             ("R11", Outcome(_exact(modes, {2: 2, 3: 0}))),
             ("R12", Outcome(_exact(modes, {2: 1, 3: 1}), weight=0.5)),
@@ -116,7 +114,7 @@ def build_fig1(model: str = "resolving") -> Preset:
         )
     else:
         modes = 5
-        elements = _fig1_front(modes) + (_bs(2, 4),)  # H5 on (ch1, vac)
+        elements = _fig1_front() + (BeamSplitter(2, 4),)  # H5 on (ch1, vac)
         outcomes = (
             ("triple", Outcome(_exact(modes, {2: 1, 4: 1}))),
             ("other", Outcome(REST)),
@@ -135,15 +133,15 @@ def build_fig1(model: str = "resolving") -> Preset:
 def build_fig2() -> Preset:
     modes = 6
     elements = (
-        _bs(0, 1),                  # H1 on (a, vac)
-        _bs(0, 2),                  # H2 on (b, d) -> (D_A, e)
-        _bs(1, 3),                  # H3 on (c, vac) -> (loss, f)
-        _bs(2, 4),                  # e -> (g, h)
-        _bs(3, 5),                  # f -> (i, j)
+        BeamSplitter(0, 1),         # H1 on (a, vac)
+        BeamSplitter(0, 2),         # H2 on (b, d) -> (D_A, e)
+        BeamSplitter(1, 3),         # H3 on (c, vac) -> (loss, f)
+        BeamSplitter(2, 4),         # e -> (g, h)
+        BeamSplitter(3, 5),         # f -> (i, j)
         PhaseShifter(2, "phi1"),    # phi1 on g
         PhaseShifter(4, "phi2"),    # phi2 on h
-        _bs(2, 3),                  # H4 on (g, i) -> ports 1, 2
-        _bs(4, 5),                  # H5 on (h, j) -> ports 5, 6
+        BeamSplitter(2, 3),         # H4 on (g, i) -> ports 1, 2
+        BeamSplitter(4, 5),         # H5 on (h, j) -> ports 5, 6
     )
     circ = Circuit(
         modes=modes,
@@ -167,11 +165,11 @@ def build_fig3(model: str = "resolving") -> Preset:
     if model not in ("resolving", "cascade"):
         raise ValueError(f"unknown fig3 detector model '{model}'")
     front = (
-        _bs(0, 1),                  # H1 on (a, vac)
-        _bs(0, 2),                  # H2 on (b, d) -> (site3, e)
-        _bs(1, 3),                  # H3 on (c, h) -> (site4, f)
+        BeamSplitter(0, 1),         # H1 on (a, vac)
+        BeamSplitter(0, 2),         # H2 on (b, d) -> (site3, e)
+        BeamSplitter(1, 3),         # H3 on (c, h) -> (site4, f)
         PhaseShifter(2, "phi"),
-        _bs(2, 3),                  # H4 on (e, f)
+        BeamSplitter(2, 3),         # H4 on (e, f)
     )
     if model == "resolving":
         modes = 4
@@ -184,7 +182,7 @@ def build_fig3(model: str = "resolving") -> Preset:
         )
     else:
         modes = 6
-        elements = front + (_bs(2, 4), _bs(2, 5))  # cascade to sites 5, 6, 7
+        elements = front + (BeamSplitter(2, 4), BeamSplitter(2, 5))  # to sites 5, 6, 7
         outcomes = (
             ("fivefold", Outcome(_exact(modes, {2: 1, 4: 1, 5: 1}))),
             ("other", Outcome(REST)),
@@ -204,8 +202,8 @@ def build_ifm() -> Preset:
     circ = Circuit(
         modes=3,
         sources=((0, 1), (2, 1)),
-        elements=(_bs(0, 1), _bs(0, 2)),  # H1 on (a, vac); H2 on (b, d)
-        heralds=((0, 1),),                # exactly one photon at site 3
+        elements=(BeamSplitter(0, 1), BeamSplitter(0, 2)),  # H1 on (a, vac); H2 on (b, d)
+        heralds=((0, 1),),  # exactly one photon at site 3
         labels=(("site3", 0), ("c", 1), ("e", 2)),
         params=set(),
     )
@@ -218,6 +216,7 @@ def build_ifm() -> Preset:
 
 _BUILDERS = {"fig1": build_fig1, "fig2": build_fig2, "fig3": build_fig3,
              "sec4": build_sec4, "single": build_single, "ifm": build_ifm}
+PRESET_NAMES = tuple(_BUILDERS)
 MODEL_PRESETS = ("fig1", "fig3")  # the others have resolving detectors only
 
 
@@ -267,12 +266,11 @@ def preset_from_circuit(circuit: Circuit) -> Preset:
         for v in vectors))
 
 
-def heralded_state(preset: Preset, bindings=None, *,
-                   before_analyzer: bool = True) -> ConditionalResult:
-    """Post-selected state; by default taken just before the analyzing splitters,
-    where the fig1/fig3 presets hold their two-term N-photon superposition."""
+def heralded_state(preset: Preset, bindings=None) -> ConditionalResult:
+    """Post-selected state, taken just before the analyzing splitters, where
+    the fig1/fig3 presets hold their two-term N-photon superposition."""
     circ = preset.circuit
-    if before_analyzer and preset.analysis_point is not None:
+    if preset.analysis_point is not None:
         circ = replace(circ, elements=circ.elements[:preset.analysis_point])
     psi = run_circuit(circ, bindings)
     return condition(psi, circ.heralds)
@@ -316,7 +314,7 @@ def scan_phase(preset: Preset, param, n_steps: int = 64, base=None,
     return ScanResult(param if isinstance(param, str) else names, grid, samples)
 
 
-def fit_fringe(samples, flat_tol: float = 1e-9) -> FringeFit:
+def fit_fringe(samples) -> FringeFit:
     y = np.asarray(samples, dtype=float)
     n = len(y)
     if n < 32:
@@ -328,7 +326,7 @@ def fit_fringe(samples, flat_tol: float = 1e-9) -> FringeFit:
     ks = np.arange(1, n // 2 + 1)
     mags = np.abs(coeffs[1:n // 2 + 1])
     k_best = int(ks[np.argmax(mags)])
-    if mags.max() <= flat_tol * max(1.0, abs(c0)):
+    if mags.max() <= FLAT_TOL * max(1.0, abs(c0)):
         return FringeFit(None, c0, 0.0, 0.0, 0.0, float(np.max(np.abs(y - c0))))
     ck = coeffs[k_best]
     phi = 2.0 * math.pi * np.arange(n) / n

@@ -4,49 +4,53 @@ import numpy as np
 import pytest
 
 from fockmz import (BeamSplitter, Circuit, Mirror, PhaseShifter,
-                    UnboundParameterError, beam_splitter_unitary,
-                    check_unitary, compose, mirror_unitary,
-                    pattern_probability, phase_unitary, run_circuit)
+                    UnboundParameterError, check_unitary, compose,
+                    pattern_probability, run_circuit)
 from fockmz.circuit import resolve_phase
 from fockmz.engine import DetectionPattern
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
 
+def element_matrix(M, *elements):
+    """The mode matrix of a few elements, through `compose`."""
+    return compose(Circuit(M, (), elements))
+
+
 def test_beam_splitter_two_mode_block():
-    U = beam_splitter_unitary(2, 0, 1)
+    U = element_matrix(2, BeamSplitter(0, 1))
     expected = INV_SQRT2 * np.array([[1, 1j], [1j, 1]])
     assert np.allclose(U, expected, atol=0)
 
 
 def test_beam_splitter_untouched_mode():
-    U = beam_splitter_unitary(3, 0, 2)
+    U = element_matrix(3, BeamSplitter(0, 2))
     assert np.array_equal(U[1], [0, 1, 0])
 
 
 def test_beam_splitter_unitary_by_construction():
     for M, i, j in [(2, 0, 1), (4, 1, 3), (6, 5, 0)]:
-        ok, dev = check_unitary(beam_splitter_unitary(M, i, j), 1e-12)
+        ok, dev = check_unitary(element_matrix(M, BeamSplitter(i, j)), 1e-12)
         assert ok, dev
 
 
 def test_beam_splitter_rejects_bad_modes():
     with pytest.raises(ValueError):
-        beam_splitter_unitary(3, 1, 1)
+        element_matrix(3, BeamSplitter(1, 1))
     with pytest.raises(ValueError):
-        beam_splitter_unitary(3, 0, 3)
+        element_matrix(3, BeamSplitter(0, 3))
 
 
 def test_phase_unitary_zero_is_identity():
-    assert np.allclose(phase_unitary(3, 1, 0.0), np.eye(3), atol=0)
+    assert np.allclose(element_matrix(3, PhaseShifter(1, 0.0)), np.eye(3), atol=0)
 
 
 def test_phase_unitary_pi_single_mode():
-    assert np.allclose(phase_unitary(1, 0, math.pi), [[-1]], atol=1e-15)
+    assert np.allclose(element_matrix(1, PhaseShifter(0, math.pi)), [[-1]], atol=1e-15)
 
 
 def test_mirror_is_diagonal_i():
-    U = mirror_unitary(2, 1)
+    U = element_matrix(2, Mirror(1))
     assert np.allclose(U, np.diag([1, 1j]), atol=0)
 
 
@@ -112,7 +116,7 @@ def test_compose_prefix_suffix_association():
 
 
 def test_check_unitary_detects_scaling():
-    U = beam_splitter_unitary(3, 0, 1)
+    U = element_matrix(3, BeamSplitter(0, 1))
     U[0, 0] *= 1.01
     ok, dev = check_unitary(U, 1e-9)
     assert not ok and dev > 1e-3

@@ -388,6 +388,17 @@ class TestFit:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("column", [0, 1], ids=["grid", "values"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_fit_non_finite_cell_exit_1(self, tmp_path, capsys, column, value):
+        # float() reads these; a NaN grid cell would pass the uniform-grid check
+        csv = tmp_path / "bad.csv"
+        rows = [[fmt(i * 0.1), "0.25"] for i in range(40)]
+        rows[5][column] = value
+        csv.write_text("phi,flat\n" + "".join(",".join(r) + "\n" for r in rows))
+        assert run_cli(capsys, "fit", str(csv), "flat") == (
+            1, "", f"error: {csv} has a non-finite cell\n")
+
     def test_fit_missing_column(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"
         run_cli(capsys, "scan", "--preset", "single", "--param", "phi",
@@ -514,6 +525,13 @@ class TestErrorSites:
         (("chsh", "0.1", "0.2", "0.3"), 1, "chsh needs exactly four angles"),
         (("chsh", "0", "0", "0", "-inf"), 1,
          "chsh angles must be finite numbers of radians"),
+        (("scan", "--preset", "single", "--param", "phi=0", "--param", "theta"), 1,
+         "unknown parameter 'theta'"),
+        (("scan", "--preset", "fig2", "--param", "phi", "--param", "phi2=0"), 1,
+         "unknown parameter 'phi'"),
+        (("run", "--preset", "ifm", "--param", "phi=1"), 1, "unknown parameter 'phi'"),
+        (("run", "--preset", "single", "--param", "phi=0", "--param", "theta"), 1,
+         "unknown parameter 'theta'"),
     ])
     def test_error_line(self, capsys, argv, code, message):
         assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
@@ -532,6 +550,20 @@ class TestErrorSites:
         assert run_cli(capsys, *argv) == (
             4, "", f"error: cannot {verb} {missing}: [Errno 2] No such file or "
                    f"directory: '{missing}'\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "{file}"),
+        ("fit", "{file}", "P1"),
+        ("run", "--circuit", "{file}"),
+        ("scan", "--circuit", "{file}"),
+    ])
+    def test_undecodable_file_exit_4(self, tmp_path, capsys, argv):
+        f = tmp_path / "binary.icd"
+        f.write_bytes(b"modes 2\n\xff\xfe\n")
+        argv = [a.replace("{file}", str(f)) for a in argv]
+        assert run_cli(capsys, *argv) == (
+            4, "", f"error: cannot read {f}: 'utf-8' codec can't decode byte 0xff "
+                   f"in position 8: invalid start byte\n")
 
     @pytest.mark.parametrize("argv, same_as", [
         (("chsh", "0", "0", "0", "-1e-3"), ("chsh", "--", "0", "0", "0", "-1e-3")),

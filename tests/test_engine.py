@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fockmz import (BeamSplitter, Circuit, Mirror, PhaseShifter,
-                    beam_splitter_unitary, compose, condition,
-                    evolve_elementwise, evolve_full, pattern_probability,
+from fockmz import (BeamSplitter, Circuit, Mirror, PhaseShifter, compose,
+                    condition, evolve_elementwise, evolve_full, pattern_probability,
                     permanent_naive, permanent_ryser, run_circuit,
                     state_from_sources, transition_amplitude)
 from fockmz.engine import DetectionPattern, ZeroProbabilityError, permanent
@@ -110,12 +109,12 @@ class TestPermanentStack:
 class TestTransitionAmplitude:
     def test_hom_null(self):
         # (1*1 + i*i)/2 = 0 by direct permutation sum
-        U = beam_splitter_unitary(2, 0, 1)
+        U = compose(Circuit(2, ((0, 1), (1, 1)), (BeamSplitter(0, 1),)))
         amp = transition_amplitude(U, (1, 1), (1, 1))
         assert abs(amp) ** 2 <= 1e-18
 
     def test_hom_bunching_amplitude(self):
-        U = beam_splitter_unitary(2, 0, 1)
+        U = compose(Circuit(2, ((0, 1), (1, 1)), (BeamSplitter(0, 1),)))
         amp = transition_amplitude(U, (1, 1), (2, 0))
         assert abs(amp) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 

@@ -1,9 +1,12 @@
-"""Property tests over random circuits: the two engines agree and conserve
-norm, `.icd` text round-trips, a circuit file's outcomes partition 1, the
-`.icd` parser rejects exactly what `Circuit` rejects, and each of its
-errors points at its own token."""
+"""Property tests over random circuits: `compose` is the product of the
+element matrices, the two engines agree and conserve norm, `.icd` text
+round-trips, a circuit file's outcomes partition 1, the `.icd` parser
+rejects exactly what `Circuit` rejects, and each of its errors points at its
+own token."""
 
+import cmath
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockmz import (BeamSplitter, Circuit, DslError, Mirror, PhaseShifter,
-                    gated_rates, parse, run_circuit, serialize)
+                    compose, gated_rates, parse, run_circuit, serialize)
 from fockmz.experiments import preset_from_circuit
 from tests_helpers_random import random_source_circuit
 
@@ -22,6 +25,29 @@ circuits = st.builds(
         np.random.default_rng(seed), max_modes=6, max_photons=max_photons,
         max_elements=12),
     st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+
+
+def dense_element_matrix(el, modes):
+    """One element's full modes x modes matrix, built without `compose`."""
+    E = np.eye(modes, dtype=complex)
+    if isinstance(el, BeamSplitter):
+        E[np.ix_([el.i, el.j], [el.i, el.j])] = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+    elif isinstance(el, PhaseShifter):
+        E[el.mode, el.mode] = cmath.exp(1j * el.phase)
+    else:
+        E[el.mode, el.mode] = 1j
+    return E
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_compose_is_the_product_of_element_matrices(seed):
+    circuit = random_source_circuit(np.random.default_rng(seed), max_modes=12,
+                                    max_photons=1, max_elements=50)
+    # the first element applied is the rightmost factor
+    want = functools.reduce(lambda U, el: dense_element_matrix(el, circuit.modes) @ U,
+                            circuit.elements, np.eye(circuit.modes, dtype=complex))
+    assert np.max(np.abs(compose(circuit) - want)) <= TOL
 
 
 @settings(max_examples=200, deadline=None)
