@@ -14,6 +14,6 @@ from .experiments import (CHSH_OPTIMAL_SETTINGS, PRESET_NAMES, FringeFit,
                           gated_rates, heralded_state, scan_phase,
                           which_path_check)
 from .fock import (FockBasis, StateVector, basis_size, enumerate_basis,
-                   inner_product, state_from_sources)
+                   state_from_sources)
 
 __version__ = "0.1.0"

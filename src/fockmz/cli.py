@@ -62,6 +62,8 @@ def _bind(args, circuit, swept=False):
         if name not in circuit.params:
             raise CliError(f"unknown parameter '{name}'")
         if not eq:
+            if not swept:
+                raise CliError(f"--param {name}: run needs NAME=RADIANS")
             sweep = name
             continue
         try:

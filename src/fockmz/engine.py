@@ -152,7 +152,7 @@ def evolve_full(U, psi: StateVector) -> StateVector:
     n = basis.photons
     if n > PHOTON_LIMIT:
         raise ValueError(f"photon number {n} exceeds limit {PHOTON_LIMIT}")
-    occ = np.array(basis.vectors, dtype=np.intp)
+    occ = basis.occupations
     # row index of photon t in each output: modes whose running count is <= t
     rows = (np.cumsum(occ, axis=1)[:, :, None] <= np.arange(n)).sum(axis=1)
     fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
@@ -168,8 +168,7 @@ def evolve_full(U, psi: StateVector) -> StateVector:
 
 
 def _apply_phase_diag(basis, amps, mode, factor_per_photon):
-    phases = np.array([factor_per_photon ** v[mode] for v in basis.vectors])
-    return amps * phases
+    return amps * factor_per_photon ** basis.occupations[:, mode]
 
 
 def _apply_beam_splitter(basis, amps, i, j):
@@ -237,9 +236,6 @@ class DetectionPattern:
                 raise ValueError(f"pattern mode {mode} out of range")
             cons[mode] = int(n)
         return cls(tuple(cons))
-
-    def matches(self, occ) -> bool:
-        return all(c is None or c == n for c, n in zip(self.constraints, occ))
 
     def merged(self, other: "DetectionPattern") -> "DetectionPattern":
         cons = []

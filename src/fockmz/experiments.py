@@ -49,7 +49,6 @@ class Preset:
     name: str
     circuit: Circuit
     outcomes: tuple  # ((name, Outcome), ...), reporting order preserved
-    model: str = ""
     analysis_point: object = None  # element index where the analyzing splitters start
 
     def outcome_names(self):
@@ -127,7 +126,7 @@ def build_fig1(model: str = "resolving") -> Preset:
         labels=(("a", 0), ("d", 2), ("D_A", 0), ("loss", 1), ("ch1", 2), ("ch2", 3)),
         params={"phi"},
     )
-    return Preset("fig1", circ, outcomes, model=model, analysis_point=4)
+    return Preset("fig1", circ, outcomes, analysis_point=4)
 
 
 def build_fig2() -> Preset:
@@ -195,7 +194,7 @@ def build_fig3(model: str = "resolving") -> Preset:
         labels=(("a", 0), ("d", 2), ("h", 3), ("site3", 0), ("site4", 1)),
         params={"phi"},
     )
-    return Preset("fig3", circ, outcomes, model=model, analysis_point=4)
+    return Preset("fig3", circ, outcomes, analysis_point=4)
 
 
 def build_ifm() -> Preset:

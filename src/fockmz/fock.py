@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +31,9 @@ class FockBasis:
 
     Ordering is descending lexicographic with mode 0 most significant,
     so (2,0) < (1,1) < (0,2) by index. The indices a detection pattern
-    matches are memoised per pattern (`matching`); a pattern that fixes
-    every mode is looked up by rank, not matched against every vector.
+    matches are memoised per pattern (`matching`): a pattern that fixes
+    every mode is looked up by rank, any other is one mask over the
+    `occupations` array.
     """
 
     modes: int
@@ -61,18 +63,23 @@ class FockBasis:
             raise ValueError(f"{tuple(v)} is not in basis "
                              f"(modes={self.modes}, photons={self.photons})") from None
 
-    def unrank(self, i: int):
-        if not 0 <= i < len(self.vectors):
-            raise IndexError(f"basis index {i} out of range 0..{len(self.vectors) - 1}")
-        return self.vectors[i]
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """Read-only (dim, modes) photon counts, row i being vectors[i]."""
+        occ = np.array(self.vectors, dtype=np.min_scalar_type(self.photons))
+        occ.flags.writeable = False
+        return occ
 
     def matching(self, pattern) -> tuple:
         """Ascending indices of the vectors a (hashable) pattern matches."""
         if pattern not in self._matches:
-            if None in pattern.constraints:
-                found = tuple(i for i, v in enumerate(self.vectors) if pattern.matches(v))
+            cons = pattern.constraints
+            if None in cons:
+                fixed = [m for m, n in enumerate(cons) if n is not None]
+                mask = (self.occupations[:, fixed] == [cons[m] for m in fixed]).all(axis=1)
+                found = tuple(np.flatnonzero(mask).tolist())
             else:  # a pattern that fixes every mode names at most one vector
-                i = self._index.get(pattern.constraints)
+                i = self._index.get(cons)
                 found = () if i is None else (i,)
             self._matches[pattern] = found
         return self._matches[pattern]
@@ -113,21 +120,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def normalize(self) -> "StateVector":
-        n = self.norm()
-        if n < 1e-300:
-            raise ZeroDivisionError("cannot normalize a zero state")
-        return StateVector(self.basis, self.amplitudes / n)
-
-    def amplitude(self, v) -> complex:
-        return complex(self.amplitudes[self.basis.rank(v)])
-
-
-def inner_product(x: StateVector, y: StateVector) -> complex:
-    if x.basis != y.basis:
-        raise ValueError("states are defined over different bases")
-    return complex(np.vdot(x.amplitudes, y.amplitudes))
 
 
 def occupation_errors(modes: int, entries, what: str):

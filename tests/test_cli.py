@@ -532,6 +532,8 @@ class TestErrorSites:
         (("run", "--preset", "ifm", "--param", "phi=1"), 1, "unknown parameter 'phi'"),
         (("run", "--preset", "single", "--param", "phi=0", "--param", "theta"), 1,
          "unknown parameter 'theta'"),
+        (("run", "--preset", "single", "--param", "phi=0", "--param", "phi"), 1,
+         "--param phi: run needs NAME=RADIANS"),
     ])
     def test_error_line(self, capsys, argv, code, message):
         assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")

@@ -2,7 +2,8 @@
 element matrices, the two engines agree and conserve norm, `.icd` text
 round-trips, a circuit file's outcomes partition 1, the `.icd` parser
 rejects exactly what `Circuit` rejects, and each of its errors points at its
-own token."""
+own token. A basis's occupation array is its vectors, and `matching` is the
+per-vector pattern predicate."""
 
 import cmath
 import dataclasses
@@ -10,11 +11,12 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fockmz import (BeamSplitter, Circuit, DslError, Mirror, PhaseShifter,
-                    compose, gated_rates, parse, run_circuit, serialize)
+from fockmz import (BeamSplitter, Circuit, DetectionPattern, DslError, Mirror,
+                    PhaseShifter, compose, enumerate_basis, gated_rates, parse,
+                    run_circuit, serialize)
 from fockmz.experiments import preset_from_circuit
 from tests_helpers_random import random_source_circuit
 
@@ -164,3 +166,41 @@ def test_errors_point_at_their_token(text):
     for e in errors:
         if e.token:
             assert lines[e.line - 1][e.column - 1:].startswith(e.token), e
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 6))
+@example(2, 300)  # counts above 255 need a wider dtype than uint8
+@example(1, 300)
+def test_occupations_are_the_vectors(modes, photons):
+    basis = enumerate_basis(modes, photons)
+    occ = basis.occupations
+    assert occ.shape == (len(basis), modes)
+    assert occ.tolist() == [list(v) for v in basis.vectors]
+    assert np.iinfo(occ.dtype).max >= photons
+    assert basis.occupations is occ
+    with pytest.raises(ValueError, match="read-only"):
+        occ[0, 0] = 0
+
+
+@st.composite
+def bases_and_patterns(draw):
+    """A basis and a pattern over its modes, built from one basis vector:
+    each mode keeps its count, is left free, gets the contradictory -1 of
+    `DetectionPattern.merged` or a count one too high. So the pattern may be
+    partial or fix every mode, and match that vector, others or nothing."""
+    basis = enumerate_basis(draw(st.integers(1, 6)), draw(st.integers(0, 5)))
+    v = draw(st.sampled_from(basis.vectors))
+    return basis, DetectionPattern(tuple(
+        draw(st.sampled_from((n, None, -1, n + 1))) for n in v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bases_and_patterns())
+def test_matching_is_the_per_vector_predicate(basis_and_pattern):
+    basis, pattern = basis_and_pattern
+    found = basis.matching(pattern)
+    assert found == tuple(
+        i for i, v in enumerate(basis.vectors)
+        if all(c is None or c == n for c, n in zip(pattern.constraints, v)))
+    assert all(type(i) is int for i in found)
