@@ -61,9 +61,11 @@ def _bind(args, circuit, swept=False):
         name = name.strip()
         if name not in circuit.params:
             raise CliError(f"unknown parameter '{name}'")
+        if not eq and not swept:
+            raise CliError(f"--param {name}: run needs NAME=RADIANS")
+        if name in bindings or name == sweep:
+            raise CliError(f"--param {name} given twice")
         if not eq:
-            if not swept:
-                raise CliError(f"--param {name}: run needs NAME=RADIANS")
             sweep = name
             continue
         try:
@@ -112,9 +114,9 @@ def _load(args):
 
 def cmd_run(args):
     preset = _load(args)
+    rates = gated_rates(preset, _bind(args, preset.circuit)[0])
     if args.emit_icd:
         _write(args.emit_icd, serialize(preset.circuit))
-    rates = gated_rates(preset, _bind(args, preset.circuit)[0])
     hp = rates.herald_probability
     if args.format == "csv":
         print("outcome,probability")
@@ -168,6 +170,8 @@ def cmd_fit(args):
     steps = np.diff(grid)
     if len(grid) < 32 or np.max(np.abs(steps - steps[0])) > 1e-9:
         raise CliError("fit needs a uniform grid with at least 32 samples")
+    if abs(steps[0] - 2 * math.pi / len(grid)) > 1e-9:
+        raise CliError("fit needs a grid that steps upward through one 2*pi period")
     fit = fit_fringe(y)
     if fit.harmonic is None:
         print("no dominant harmonic")
@@ -177,7 +181,9 @@ def cmd_fit(args):
         print(f"harmonic   {fit.harmonic}")
         print(f"c0         {fmt(fit.mean_level)}")
         print(f"|ck|       {fmt(fit.magnitude)}")
-        print(f"phase      {fmt(fit.phase)}")
+        # the FFT phase is taken at the first grid point; report it at phi = 0
+        phase = math.remainder(fit.phase - fit.harmonic * grid[0], 2 * math.pi)
+        print(f"phase      {fmt(phase)}")
         print(f"visibility {fmt(fit.visibility)}")
         print(f"residual   {fmt(fit.residual)}")
 

@@ -222,35 +222,8 @@ def run_circuit(circuit: Circuit, bindings=None, engine="elementwise") -> StateV
     raise ValueError(f"unknown engine '{engine}'")
 
 
-@dataclass(frozen=True)
-class DetectionPattern:
-    """Per-mode constraint: an exact photon count or None for 'any'."""
-
-    constraints: tuple  # length = modes; entries int or None
-
-    @classmethod
-    def exactly(cls, modes: int, counts: dict) -> "DetectionPattern":
-        cons = [None] * modes
-        for mode, n in counts.items():
-            if not 0 <= mode < modes:
-                raise ValueError(f"pattern mode {mode} out of range")
-            cons[mode] = int(n)
-        return cls(tuple(cons))
-
-    def merged(self, other: "DetectionPattern") -> "DetectionPattern":
-        cons = []
-        for a, b in zip(self.constraints, other.constraints):
-            if a is not None and b is not None and a != b:
-                # contradictory constraints match nothing; keep an impossible count
-                cons.append(-1)
-            else:
-                cons.append(a if a is not None else b)
-        return DetectionPattern(tuple(cons))
-
-
-def pattern_probability(psi: StateVector, pattern: DetectionPattern) -> float:
-    if len(pattern.constraints) != psi.basis.modes:
-        raise ValueError("pattern mode count does not match state")
+def pattern_probability(psi: StateVector, pattern) -> float:
+    """Probability of the exact counts of `pattern`, ((mode, count), ...)."""
     amps = psi.amplitudes
     total = 0.0
     for idx in psi.basis.matching(pattern):
@@ -258,9 +231,9 @@ def pattern_probability(psi: StateVector, pattern: DetectionPattern) -> float:
     return total
 
 
-def herald_probability(psi: StateVector, pattern: DetectionPattern) -> float:
-    """The herald pattern's probability; ZeroProbabilityError if it is zero."""
-    p = pattern_probability(psi, pattern)
+def herald_probability(psi: StateVector, heralds) -> float:
+    """The heralds' probability; ZeroProbabilityError if it is zero."""
+    p = pattern_probability(psi, heralds)
     if p <= 1e-300:
         raise ZeroProbabilityError("herald pattern has zero probability")
     return p
@@ -279,11 +252,10 @@ def condition(psi: StateVector, heralds) -> ConditionalResult:
     heralds = tuple((int(m), int(n)) for m, n in heralds)
     for _, _, message in circuit_errors(basis.modes, (), (), heralds, (), ()):
         raise ValueError(message)
-    hmap = dict(heralds)
-    pattern = DetectionPattern.exactly(basis.modes, hmap)
-    prob = herald_probability(psi, pattern)
-    kept = tuple(m for m in range(basis.modes) if m not in hmap)
-    red_basis = enumerate_basis(len(kept), basis.photons - sum(hmap.values()))
+    prob = herald_probability(psi, heralds)
+    heralded = {m for m, _ in heralds}
+    kept = tuple(m for m in range(basis.modes) if m not in heralded)
+    red_basis = enumerate_basis(len(kept), basis.photons - sum(n for _, n in heralds))
     # ascending matches run through the free modes in reduced-basis order
-    red = psi.amplitudes[list(basis.matching(pattern))]
+    red = psi.amplitudes[list(basis.matching(heralds))]
     return ConditionalResult(prob, StateVector(red_basis, red / math.sqrt(prob)), kept)

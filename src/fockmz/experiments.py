@@ -29,9 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import BeamSplitter, Circuit, Mirror, PhaseShifter
-from .engine import (ConditionalResult, DetectionPattern, ZeroProbabilityError,
-                     condition, herald_probability, pattern_probability,
-                     run_circuit)
+from .engine import (ConditionalResult, ZeroProbabilityError, condition,
+                     herald_probability, pattern_probability, run_circuit)
 from .fock import enumerate_basis
 
 REST = None  # sentinel pattern: complement of the other reported outcomes
@@ -40,7 +39,7 @@ FLAT_TOL = 1e-9  # harmonics at or below this, relative to max(1, |c0|), read as
 
 @dataclass(frozen=True)
 class Outcome:
-    pattern: object        # DetectionPattern or REST
+    pattern: object        # ((mode, exact count), ...) or REST
     weight: float = 1.0    # splits a symmetric pattern into ordered rates
 
 
@@ -55,10 +54,6 @@ class Preset:
         return tuple(name for name, _ in self.outcomes)
 
 
-def _exact(modes, counts):
-    return DetectionPattern.exactly(modes, counts)
-
-
 def build_single() -> Preset:
     circ = Circuit(
         modes=2,
@@ -69,8 +64,8 @@ def build_single() -> Preset:
         params={"phi"},
     )
     outcomes = (
-        ("P1", Outcome(_exact(2, {1: 1}))),
-        ("P2", Outcome(_exact(2, {0: 1}))),
+        ("P1", Outcome(((1, 1),))),
+        ("P2", Outcome(((0, 1),))),
     )
     return Preset("single", circ, outcomes)
 
@@ -85,10 +80,10 @@ def build_sec4() -> Preset:
         params={"phi"},
     )
     outcomes = (
-        ("P11", Outcome(_exact(2, {1: 2}))),
-        ("P12", Outcome(_exact(2, {0: 1, 1: 1}), weight=0.5)),
-        ("P21", Outcome(_exact(2, {0: 1, 1: 1}), weight=0.5)),
-        ("P22", Outcome(_exact(2, {0: 2}))),
+        ("P11", Outcome(((1, 2),))),
+        ("P12", Outcome(((0, 1), (1, 1)), weight=0.5)),
+        ("P21", Outcome(((0, 1), (1, 1)), weight=0.5)),
+        ("P22", Outcome(((0, 2),))),
     )
     return Preset("sec4", circ, outcomes)
 
@@ -106,16 +101,16 @@ def build_fig1(model: str = "resolving") -> Preset:
         modes = 4
         elements = _fig1_front()
         outcomes = (
-            ("R11", Outcome(_exact(modes, {2: 2, 3: 0}))),
-            ("R12", Outcome(_exact(modes, {2: 1, 3: 1}), weight=0.5)),
-            ("R21", Outcome(_exact(modes, {2: 1, 3: 1}), weight=0.5)),
-            ("R22", Outcome(_exact(modes, {2: 0, 3: 2}))),
+            ("R11", Outcome(((2, 2), (3, 0)))),
+            ("R12", Outcome(((2, 1), (3, 1)), weight=0.5)),
+            ("R21", Outcome(((2, 1), (3, 1)), weight=0.5)),
+            ("R22", Outcome(((2, 0), (3, 2)))),
         )
     else:
         modes = 5
         elements = _fig1_front() + (BeamSplitter(2, 4),)  # H5 on (ch1, vac)
         outcomes = (
-            ("triple", Outcome(_exact(modes, {2: 1, 4: 1}))),
+            ("triple", Outcome(((2, 1), (4, 1)))),
             ("other", Outcome(REST)),
         )
     circ = Circuit(
@@ -151,10 +146,10 @@ def build_fig2() -> Preset:
         params={"phi1", "phi2"},
     )
     outcomes = (
-        ("c15", Outcome(_exact(modes, {2: 1, 4: 1}))),
-        ("c16", Outcome(_exact(modes, {2: 1, 5: 1}))),
-        ("c25", Outcome(_exact(modes, {3: 1, 4: 1}))),
-        ("c26", Outcome(_exact(modes, {3: 1, 5: 1}))),
+        ("c15", Outcome(((2, 1), (4, 1)))),
+        ("c16", Outcome(((2, 1), (5, 1)))),
+        ("c25", Outcome(((3, 1), (4, 1)))),
+        ("c26", Outcome(((3, 1), (5, 1)))),
         ("other", Outcome(REST)),
     )
     return Preset("fig2", circ, outcomes, analysis_point=3)
@@ -174,16 +169,16 @@ def build_fig3(model: str = "resolving") -> Preset:
         modes = 4
         elements = front
         outcomes = (
-            ("n30", Outcome(_exact(modes, {2: 3, 3: 0}))),
-            ("n21", Outcome(_exact(modes, {2: 2, 3: 1}))),
-            ("n12", Outcome(_exact(modes, {2: 1, 3: 2}))),
-            ("n03", Outcome(_exact(modes, {2: 0, 3: 3}))),
+            ("n30", Outcome(((2, 3), (3, 0)))),
+            ("n21", Outcome(((2, 2), (3, 1)))),
+            ("n12", Outcome(((2, 1), (3, 2)))),
+            ("n03", Outcome(((2, 0), (3, 3)))),
         )
     else:
         modes = 6
         elements = front + (BeamSplitter(2, 4), BeamSplitter(2, 5))  # to sites 5, 6, 7
         outcomes = (
-            ("fivefold", Outcome(_exact(modes, {2: 1, 4: 1, 5: 1}))),
+            ("fivefold", Outcome(((2, 1), (4, 1), (5, 1)))),
             ("other", Outcome(REST)),
         )
     circ = Circuit(
@@ -207,7 +202,7 @@ def build_ifm() -> Preset:
         params=set(),
     )
     outcomes = (
-        ("c_occupied", Outcome(_exact(3, {1: 1}))),
+        ("c_occupied", Outcome(((1, 1),))),
         ("other", Outcome(REST)),
     )
     return Preset("ifm", circ, outcomes)
@@ -241,9 +236,9 @@ def gated_rates(preset: Preset, bindings=None) -> GatedRates:
     """Outcome probabilities conditional on the preset's herald constraints,
     from one evolution of the circuit."""
     psi = run_circuit(preset.circuit, bindings)
-    hp = _exact(preset.circuit.modes, dict(preset.circuit.heralds))
-    p_herald = herald_probability(psi, hp)
-    rates = {name: pattern_probability(psi, hp.merged(out.pattern)) * out.weight / p_herald
+    heralds = preset.circuit.heralds
+    p_herald = herald_probability(psi, heralds)
+    rates = {name: pattern_probability(psi, heralds + out.pattern) * out.weight / p_herald
              for name, out in preset.outcomes if out.pattern is not REST}
     accounted = 0.0
     for p in rates.values():
@@ -261,7 +256,7 @@ def preset_from_circuit(circuit: Circuit) -> Preset:
     # heralds wanting more photons than there are: no outcomes, zero herald
     vectors = enumerate_basis(len(kept), n_left).vectors if n_left >= 0 else ()
     return Preset("circuit", circuit, tuple(
-        ("p_" + "_".join(map(str, v)), Outcome(_exact(circuit.modes, dict(zip(kept, v)))))
+        ("p_" + "_".join(map(str, v)), Outcome(tuple(zip(kept, v))))
         for v in vectors))
 
 
@@ -282,7 +277,6 @@ def which_path_check() -> float:
 
 @dataclass(frozen=True)
 class ScanResult:
-    param: object        # swept parameter name, or tuple of names swept together
     grid: np.ndarray     # uniform angles over [start, start + span)
     samples: dict        # outcome name -> probability array
 
@@ -310,7 +304,7 @@ def scan_phase(preset: Preset, param, n_steps: int = 64, base=None,
             bindings[p] = float(phi)
         for name, value in gated_rates(preset, bindings).items():
             samples[name][idx] = value
-    return ScanResult(param if isinstance(param, str) else names, grid, samples)
+    return ScanResult(grid, samples)
 
 
 def fit_fringe(samples) -> FringeFit:

@@ -31,9 +31,9 @@ class FockBasis:
 
     Ordering is descending lexicographic with mode 0 most significant,
     so (2,0) < (1,1) < (0,2) by index. The indices a detection pattern
-    matches are memoised per pattern (`matching`): a pattern that fixes
-    every mode is looked up by rank, any other is one mask over the
-    `occupations` array.
+    of (mode, count) pairs matches are memoised per pattern (`matching`): a
+    pattern that fixes every mode is looked up by rank, any other is one
+    mask over the `occupations` array.
     """
 
     modes: int
@@ -71,16 +71,22 @@ class FockBasis:
         return occ
 
     def matching(self, pattern) -> tuple:
-        """Ascending indices of the vectors a (hashable) pattern matches."""
+        """Ascending indices of the vectors with the exact counts of
+        `pattern`, a tuple of (mode, count) pairs; a mode given two
+        different counts matches nothing."""
         if pattern not in self._matches:
-            cons = pattern.constraints
-            if None in cons:
-                fixed = [m for m, n in enumerate(cons) if n is not None]
-                mask = (self.occupations[:, fixed] == [cons[m] for m in fixed]).all(axis=1)
-                found = tuple(np.flatnonzero(mask).tolist())
-            else:  # a pattern that fixes every mode names at most one vector
-                i = self._index.get(cons)
+            counts = dict(pattern)
+            for mode in counts:
+                if not 0 <= mode < self.modes:
+                    raise ValueError(f"pattern mode {mode} out of range for {self.modes} modes")
+            if len(counts) < len(set(pattern)):
+                found = ()
+            elif len(counts) == self.modes:  # fixes every mode: at most one vector
+                i = self._index.get(tuple(counts[m] for m in range(self.modes)))
                 found = () if i is None else (i,)
+            else:
+                mask = (self.occupations[:, list(counts)] == list(counts.values())).all(axis=1)
+                found = tuple(np.flatnonzero(mask).tolist())
             self._matches[pattern] = found
         return self._matches[pattern]
 

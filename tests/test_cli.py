@@ -357,11 +357,35 @@ class TestFit:
 
     def test_fit_constant_column(self, tmp_path, capsys):
         csv = tmp_path / "const.csv"
-        rows = ["phi,flat"] + [f"{fmt(i * 0.1)},0.250000000000" for i in range(64)]
+        rows = ["phi,flat"] + [f"{fmt(2 * math.pi * i / 64)},0.250000000000"
+                               for i in range(64)]
         csv.write_text("\n".join(rows) + "\n")
         code, out, _ = run_cli(capsys, "fit", str(csv), "flat")
         assert code == 0
         assert "no dominant harmonic" in out
+
+    @pytest.mark.parametrize("start, stop", [
+        (0.0, math.pi), (0.0, 4 * math.pi), (2 * math.pi, 0.0), (1.0, 1.0 - 2 * math.pi)],
+        ids=["half-period", "two-periods", "downward", "downward-from-1"])
+    def test_fit_refuses_grid_that_is_not_one_period(self, tmp_path, capsys, start, stop):
+        csv = tmp_path / "s.csv"
+        assert run_cli(capsys, "scan", "--preset", "fig1", "--param", "phi",
+                       "--start", repr(start), "--stop", repr(stop),
+                       "--out", str(csv))[0] == 0
+        assert run_cli(capsys, "fit", str(csv), "R11") == (
+            1, "", "error: fit needs a grid that steps upward through one 2*pi period\n")
+
+    @pytest.mark.parametrize("start", [0.0, 1.0, -2.5, 10.0])
+    def test_fit_phase_is_measured_from_zero(self, tmp_path, capsys, start):
+        csv = tmp_path / "s.csv"
+        grid = start + 2 * math.pi * np.arange(64) / 64
+        y = 0.5 + 0.25 * np.cos(2 * grid - 0.6)
+        csv.write_text("phi,y\n" + "".join(f"{fmt(p)},{fmt(v)}\n" for p, v in zip(grid, y)))
+        code, out, _ = run_cli(capsys, "fit", str(csv), "y")
+        assert code == 0
+        fields = dict(line.split(None, 1) for line in out.splitlines())
+        assert fields["harmonic"] == "2"
+        assert float(fields["phase"]) == pytest.approx(-0.6, abs=1e-9)
 
     def test_fit_empty_file_exit_1(self, tmp_path, capsys):
         csv = tmp_path / "empty.csv"
@@ -534,6 +558,12 @@ class TestErrorSites:
          "unknown parameter 'theta'"),
         (("run", "--preset", "single", "--param", "phi=0", "--param", "phi"), 1,
          "--param phi: run needs NAME=RADIANS"),
+        (("run", "--preset", "single", "--param", "phi=1", "--param", "phi=2"), 1,
+         "--param phi given twice"),
+        (("scan", "--preset", "single", "--param", "phi", "--param", "phi=1"), 1,
+         "--param phi given twice"),
+        (("scan", "--preset", "fig2", "--param", "phi2=0", "--param", "phi2=0"), 1,
+         "--param phi2 given twice"),
     ])
     def test_error_line(self, capsys, argv, code, message):
         assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
@@ -580,6 +610,12 @@ class TestErrorSites:
 
 
 class TestModelAndEmit:
+    def test_failed_run_emits_nothing(self, tmp_path, capsys):
+        emitted = tmp_path / "fig1.icd"
+        assert run_cli(capsys, "run", "--preset", "fig1", "--emit-icd", str(emitted)) == (
+            2, "", "error: unbound parameter 'phi'\n")
+        assert not emitted.exists()
+
     @pytest.mark.parametrize("source", ["fig2", "sec4", "single", "ifm", "circuit"])
     def test_cascade_model_refused_exit_1(self, tmp_path, capsys, source):
         f = tmp_path / "mz.icd"

@@ -5,9 +5,9 @@ import pytest
 
 from fockmz import (BeamSplitter, Circuit, Mirror, PhaseShifter, compose,
                     condition, evolve_elementwise, evolve_full, pattern_probability,
-                    permanent_naive, permanent_ryser, run_circuit,
-                    state_from_sources, transition_amplitude)
-from fockmz.engine import DetectionPattern, ZeroProbabilityError, permanent
+                    permanent_ryser, run_circuit, state_from_sources,
+                    transition_amplitude)
+from fockmz.engine import ZeroProbabilityError, permanent, permanent_naive
 from fockmz.fock import StateVector, enumerate_basis
 from tests_helpers_random import random_source_circuit
 
@@ -149,7 +149,7 @@ class TestEvolveFull:
         for phi in np.linspace(0, 2 * math.pi, 17):
             psi = state_from_sources(2, circ.sources)
             out = evolve_full(compose(circ, {"phi": phi}), psi)
-            p11 = pattern_probability(out, DetectionPattern.exactly(2, {1: 2}))
+            p11 = pattern_probability(out, ((1, 2),))
             p1 = (1 + math.cos(phi)) / 2
             assert p11 == pytest.approx(p1 ** 2, abs=1e-9)
 
@@ -227,16 +227,21 @@ class TestElementwiseEngine:
 class TestPatternsAndConditioning:
     def test_all_any_pattern_sums_to_one(self):
         psi = run_circuit(Circuit(3, ((0, 2),), (BeamSplitter(0, 1), BeamSplitter(1, 2))))
-        assert pattern_probability(psi, DetectionPattern((None, None, None))) == \
-            pytest.approx(1.0, abs=1e-12)
+        assert pattern_probability(psi, ()) == pytest.approx(1.0, abs=1e-12)
 
     def test_source_mode_before_elements(self):
         psi = state_from_sources(2, [(0, 2)])
-        assert pattern_probability(psi, DetectionPattern.exactly(2, {0: 2})) == 1.0
+        assert pattern_probability(psi, ((0, 2),)) == 1.0
+
+    @pytest.mark.parametrize("mode", [-1, 2])
+    def test_pattern_mode_out_of_range_raises(self, mode):
+        psi = state_from_sources(2, [(0, 2)])
+        with pytest.raises(ValueError, match=f"pattern mode {mode} out of range for 2 modes"):
+            pattern_probability(psi, ((mode, 0),))
 
     def test_partition_completeness(self):
         psi = run_circuit(Circuit(2, ((0, 2),), (BeamSplitter(0, 1),)))
-        total = sum(pattern_probability(psi, DetectionPattern.exactly(2, {0: k, 1: 2 - k}))
+        total = sum(pattern_probability(psi, ((0, k), (1, 2 - k)))
                     for k in range(3))
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -342,7 +347,7 @@ def full_scan_probability(psi, pattern):
     """pattern_probability as a predicate on every basis vector."""
     total = 0.0
     for idx, v in enumerate(psi.basis.vectors):
-        if all(c is None or c == n for c, n in zip(pattern.constraints, v)):
+        if all(v[m] == c for m, c in pattern):
             total += abs(psi.amplitudes[idx]) ** 2
     return total
 
@@ -352,9 +357,9 @@ class TestMemoisedBasisWork:
         rng = np.random.default_rng(23)
         for modes, photons in ((2, 3), (4, 3), (5, 4), (6, 2)):
             basis = enumerate_basis(modes, photons)
-            patterns = [DetectionPattern(tuple(
-                None if rng.random() < 0.5 else int(rng.integers(0, photons + 1))
-                for _ in range(modes))) for _ in range(12)]
+            patterns = [tuple((m, int(rng.integers(0, photons + 1)))
+                              for m in range(modes) if rng.random() < 0.5)
+                        for _ in range(12)]
             for _ in range(5):
                 amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
                 psi = StateVector(basis, amps / np.linalg.norm(amps))
@@ -365,11 +370,10 @@ class TestMemoisedBasisWork:
 
     def test_matching_indices_are_ascending_and_memoised(self):
         basis = enumerate_basis(4, 3)
-        pattern = DetectionPattern.exactly(4, {1: 1})
-        indices = basis.matching(pattern)
+        indices = basis.matching(((1, 1),))
         assert indices == tuple(i for i, v in enumerate(basis.vectors) if v[1] == 1)
-        assert basis.matching(DetectionPattern.exactly(4, {1: 1})) is indices
-        assert basis.matching(DetectionPattern.exactly(4, {1: 4})) == ()
+        assert basis.matching(((1, 1),)) is indices
+        assert basis.matching(((1, 4),)) == ()
 
     def test_circuit_holds_one_basis_and_fresh_amplitudes(self):
         circ = Circuit(3, ((0, 1), (2, 1)), (BeamSplitter(0, 1), PhaseShifter(1, "x"),

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fockmz import (CHSH_OPTIMAL_SETTINGS, DetectionPattern, build_fig1,
-                    build_fig2, build_fig3, build_ifm, build_preset,
-                    build_sec4, build_single, chsh, correlation_E, fit_fringe,
+from fockmz import (CHSH_OPTIMAL_SETTINGS, build_fig1, build_fig2, build_fig3,
+                    build_ifm, build_preset, build_sec4, build_single, chsh, correlation_E, fit_fringe,
                     gated_rates, heralded_state, pattern_probability,
                     run_circuit, scan_phase, which_path_check)
 from fockmz.engine import ZeroProbabilityError
@@ -115,7 +114,7 @@ class TestFig1:
 
     def test_cascade_triple_coincidence_peak(self):
         preset = build_fig1("cascade")
-        pattern = DetectionPattern.exactly(5, {0: 1, 2: 1, 4: 1})
+        pattern = ((0, 1), (2, 1), (4, 1))
         peak = max(pattern_probability(run_circuit(preset.circuit, {"phi": phi}), pattern)
                    for phi in np.linspace(0, 2 * math.pi, 97))
         assert peak == pytest.approx(1 / 64, abs=1e-9)
@@ -234,9 +233,23 @@ class TestIfm:
 
     def test_bunching_accounting(self):
         psi = run_circuit(build_ifm().circuit)
-        p_two_at_3 = pattern_probability(psi, DetectionPattern.exactly(3, {0: 2}))
-        p_none_both_e = pattern_probability(psi, DetectionPattern.exactly(3, {0: 0, 2: 2}))
+        p_two_at_3 = pattern_probability(psi, ((0, 2),))
+        p_none_both_e = pattern_probability(psi, ((0, 0), (2, 2)))
         assert p_two_at_3 + p_none_both_e == pytest.approx(0.5, abs=1e-9)
+
+
+    def test_outcome_contradicting_a_herald_is_zero(self):
+        from fockmz.experiments import Outcome, Preset
+        ifm = build_ifm()
+        preset = Preset("contra", ifm.circuit, (
+            ("c_occupied", Outcome(((0, 1), (1, 1)))),  # repeats the herald count
+            ("two_at_site3", Outcome(((0, 2),))),
+            ("none_at_site3", Outcome(((1, 1), (0, 0)))),
+        ))
+        rates = gated_rates(preset)
+        assert rates["c_occupied"] == gated_rates(ifm)["c_occupied"]
+        assert rates["two_at_site3"] == 0.0
+        assert rates["none_at_site3"] == 0.0
 
 
 class TestScansAndFits:
@@ -283,7 +296,7 @@ class TestScansAndFits:
 
     def test_zero_probability_herald_raises(self):
         from fockmz import Circuit, BeamSplitter
-        from fockmz.experiments import Outcome, Preset, REST, _exact
+        from fockmz.experiments import Outcome, Preset, REST
         circ = Circuit(2, ((0, 1),), (), heralds=((1, 1),))
         preset = Preset("bad", circ, (("all", Outcome(REST)),))
         with pytest.raises(ZeroProbabilityError):
@@ -293,8 +306,8 @@ class TestScansAndFits:
 class TestCircuitFileRates:
     @pytest.mark.parametrize("heralds", [(), ((4, 0),), ((1, 1),)])
     def test_full_patterns_are_not_scanned(self, monkeypatch, heralds):
-        # every outcome pattern, merged with the herald, fixes every mode and
-        # is looked up by rank; only the herald pattern, which does not, is
+        # every outcome pattern, after the heralds, fixes every mode and is
+        # looked up by rank; only the herald pattern, which does not, is
         # matched against the occupation array
         from fockmz import BeamSplitter, Circuit, FockBasis, PhaseShifter
         from fockmz.engine import condition
@@ -320,7 +333,7 @@ class TestCircuitFileRates:
         monkeypatch.setattr(FockBasis, "occupations", property(read))
         monkeypatch.setattr(FockBasis, "matching", spied)
         rates = gated_rates(preset_from_circuit(circuit))
-        assert masked == [DetectionPattern.exactly(5, dict(heralds))]
+        assert masked == [heralds]
         # the reduced state's probabilities, one per outcome, in the same order
         reduced = condition(run_circuit(circuit), heralds).reduced_state
         assert list(rates.values()) == pytest.approx(

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from fockmz import Circuit, basis_size, enumerate_basis, run_circuit, state_from_sources
+from fockmz import Circuit, enumerate_basis, run_circuit, state_from_sources
 from fockmz import fock
-from fockmz.fock import MAX_BASIS_DIM, BasisTooLargeError, check_basis_size
+from fockmz.fock import MAX_BASIS_DIM, BasisTooLargeError, basis_size, check_basis_size
 
 
 def brute_force_occupations(modes, photons):
@@ -103,10 +103,13 @@ def test_largest_allowed_dimension_is_the_limit():
 
 
 def test_full_patterns_match_by_rank():
-    from fockmz import DetectionPattern
     basis = enumerate_basis(3, 2)
-    # each vector, then a wrong photon number and a contradictory (-1) count
+    # each vector, then a wrong photon number and a negative count
     for v in basis.vectors + ((1, 0, 0), (3, 0, -1)):
         expected = tuple(i for i, w in enumerate(basis.vectors) if w == v)
-        assert basis.matching(DetectionPattern(v)) == expected
-    assert basis.matching(DetectionPattern((None, 0, None))) == (0, 2, 5)
+        assert basis.matching(tuple(enumerate(v))) == expected
+        assert basis.matching(tuple(reversed(tuple(enumerate(v))))) == expected
+    # a full pattern with a mode given two different counts matches nothing
+    assert basis.matching(((2, 2), (0, 1), (1, 0), (2, 1))) == ()
+    assert basis.matching(((2, 1), (0, 1), (1, 0), (2, 1))) == (2,)
+    assert basis.matching(((1, 0),)) == (0, 2, 5)

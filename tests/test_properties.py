@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fockmz import (BeamSplitter, Circuit, DetectionPattern, DslError, Mirror,
-                    PhaseShifter, compose, enumerate_basis, gated_rates, parse,
+from fockmz import (BeamSplitter, Circuit, DslError, Mirror, PhaseShifter,
+                    compose, enumerate_basis, gated_rates, parse,
                     run_circuit, serialize)
 from fockmz.experiments import preset_from_circuit
 from tests_helpers_random import random_source_circuit
@@ -185,22 +185,27 @@ def test_occupations_are_the_vectors(modes, photons):
 
 @st.composite
 def bases_and_patterns(draw):
-    """A basis and a pattern over its modes, built from one basis vector:
-    each mode keeps its count, is left free, gets the contradictory -1 of
-    `DetectionPattern.merged` or a count one too high. So the pattern may be
-    partial or fix every mode, and match that vector, others or nothing."""
+    """A basis and a pattern of (mode, count) pairs in any order, built from
+    one basis vector: each mode is left free, keeps its count, gets a count
+    one too high, or is given twice, with its count and then the same or a
+    different one. So the pattern may be empty, partial or fix every mode,
+    and match that vector, others or nothing."""
     basis = enumerate_basis(draw(st.integers(1, 6)), draw(st.integers(0, 5)))
     v = draw(st.sampled_from(basis.vectors))
-    return basis, DetectionPattern(tuple(
-        draw(st.sampled_from((n, None, -1, n + 1))) for n in v))
+    pairs = [(m, c) for m, n in enumerate(v)
+             for c in draw(st.sampled_from(((), (n,), (n + 1,), (n, n), (n, n + 1))))]
+    return basis, tuple(draw(st.permutations(pairs)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(bases_and_patterns())
+@example((enumerate_basis(3, 2), ()))
+@example((enumerate_basis(3, 2), ((2, 0), (0, 1), (1, 1))))
+@example((enumerate_basis(3, 2), ((2, 0), (0, 1), (2, 0), (1, 1))))
+@example((enumerate_basis(3, 2), ((0, 1), (2, 0), (0, 2))))
 def test_matching_is_the_per_vector_predicate(basis_and_pattern):
     basis, pattern = basis_and_pattern
     found = basis.matching(pattern)
-    assert found == tuple(
-        i for i, v in enumerate(basis.vectors)
-        if all(c is None or c == n for c, n in zip(pattern.constraints, v)))
+    assert found == tuple(i for i, v in enumerate(basis.vectors)
+                          if all(v[m] == c for m, c in pattern))
     assert all(type(i) is int for i in found)
